@@ -8,7 +8,9 @@
 //! caller having to wire the underlying crates together.
 
 use sf_netsim::{NetworkSimulator, SimulationStats, TrafficModel};
-use sf_routing::{trace_route, GreediestOptions, GreediestRouting, RouteTrace, RoutingProtocol};
+use sf_routing::{
+    trace_route, GreediestOptions, GreediestRouting, RouteTrace, RoutingProtocol, RoutingTable,
+};
 use sf_topology::analysis::{self, PathLengthStats};
 use sf_topology::{GridPlacement, ReconfigurationDelta, StringFigureTopology};
 use sf_types::{
@@ -238,14 +240,16 @@ impl StringFigureNetwork {
         })
     }
 
-    /// Total routing-table storage across all routers, in bits.
+    /// Total routing-table storage across all routers, in bits. The tables
+    /// are built on demand from the current topology (the routing protocol
+    /// keeps only the flat candidate arrays it forwards on).
     #[must_use]
     pub fn routing_storage_bits(&self) -> u64 {
         let ports = self.topology.config().ports;
-        self.routing
-            .tables()
-            .iter()
-            .map(|t| t.storage_bits(self.num_nodes(), ports))
+        let (graph, spaces) = (self.topology.graph(), self.topology.spaces());
+        graph
+            .nodes()
+            .map(|v| RoutingTable::build(v, graph, spaces).storage_bits(self.num_nodes(), ports))
             .sum()
     }
 

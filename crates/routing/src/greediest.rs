@@ -27,12 +27,10 @@
 //! be bypassed.
 
 use crate::protocol::{PortLoadEstimator, RoutingContext, RoutingProtocol};
-use crate::table::{HopCount, RoutingTable};
 use sf_topology::{AdjacencyGraph, StringFigureTopology, VirtualSpaces};
-use sf_types::{
-    minimum_circular_distance, CoordinateVector, NodeId, SfError, SfResult, VirtualChannelId,
-};
+use sf_types::{closest_space, min_circular_distance, NodeId, SfError, SfResult, VirtualChannelId};
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Tuning knobs of the greediest protocol.
@@ -58,15 +56,15 @@ impl Default for GreediestOptions {
     }
 }
 
-#[derive(Debug, Clone)]
-struct NodeCandidates {
-    /// Improvable one-hop neighbours with their coordinate vectors.
-    one_hop: Vec<(NodeId, CoordinateVector)>,
-    /// Two-hop targets as (via one-hop neighbour, target, target coordinates).
-    two_hop: Vec<(NodeId, NodeId, CoordinateVector)>,
-}
-
 /// The greediest routing protocol over a String Figure (or S2) topology.
+///
+/// The per-router routing tables are held flat: every router's one-hop
+/// neighbours in one CSR array, each one-hop entry's two-hop targets (those
+/// whose first hop is that neighbour) in a second, and all coordinates in
+/// two contiguous `nodes × spaces` arrays. A greedy decision reads only the
+/// ids it needs plus coordinate rows; it never hashes or allocates. The
+/// [`RoutingTable`](crate::RoutingTable) of a router holds the same
+/// information entry by entry and is built on demand for storage studies.
 ///
 /// # Examples
 ///
@@ -85,13 +83,29 @@ struct NodeCandidates {
 #[derive(Debug)]
 pub struct GreediestRouting {
     options: GreediestOptions,
-    tables: Vec<RoutingTable>,
-    candidates: Vec<NodeCandidates>,
-    coordinates: Vec<CoordinateVector>,
+    /// Virtual spaces per node: the row length of both coordinate arrays.
+    spaces: usize,
+    /// Full-precision coordinates, `coords[node * spaces + space]`.
+    coords: Vec<f64>,
+    /// The coordinates the routing tables store, 7-bit quantised when
+    /// `options.use_quantized`; same layout as `coords`.
+    table_coords: Vec<f64>,
     active: Vec<bool>,
-    adjacency: Vec<Vec<NodeId>>,
+    /// Active neighbours of router `v`:
+    /// `one_hop[one_hop_start[v]..one_hop_start[v + 1]]`, in adjacency order
+    /// (ascending node id).
+    one_hop_start: Vec<u32>,
+    one_hop: Vec<u32>,
+    /// Two-hop targets reached through one-hop entry `e` (an index into
+    /// `one_hop`): `two_hop[two_hop_start[e]..two_hop_start[e + 1]]`.
+    two_hop_start: Vec<u32>,
+    two_hop: Vec<u32>,
     fallback_routes: AtomicU64,
     decisions: AtomicU64,
+}
+
+fn csr(start: &[u32], i: usize) -> Range<usize> {
+    start[i] as usize..start[i + 1] as usize
 }
 
 impl GreediestRouting {
@@ -110,6 +124,12 @@ impl GreediestRouting {
 
     /// Builds the protocol from a raw graph plus virtual spaces (also used for
     /// the S2 baseline, which shares the coordinate structure).
+    ///
+    /// The candidate sets equal what
+    /// [`RoutingTable::build`](crate::RoutingTable::build) records: every
+    /// active neighbour is a one-hop entry, and every other active node two
+    /// hops away is a two-hop entry whose `via` is the first one-hop
+    /// neighbour, in adjacency order, that reaches it.
     #[must_use]
     pub fn from_parts(
         graph: &AdjacencyGraph,
@@ -117,60 +137,76 @@ impl GreediestRouting {
         options: GreediestOptions,
     ) -> Self {
         let n = graph.num_nodes();
-        let mut tables = Vec::with_capacity(n);
-        let mut candidates = Vec::with_capacity(n);
-        for i in 0..n {
-            let table = RoutingTable::build(NodeId::new(i), graph, spaces);
-            candidates.push(Self::collect_candidates(&table, options.use_quantized));
-            tables.push(table);
+        let mut coords = Vec::with_capacity(n * spaces.num_spaces());
+        let mut table_coords = Vec::with_capacity(coords.capacity());
+        for vector in spaces.all_coordinates() {
+            for c in vector.iter() {
+                coords.push(c.value());
+                table_coords.push(if options.use_quantized {
+                    c.quantize().to_coordinate().value()
+                } else {
+                    c.value()
+                });
+            }
         }
+
+        let mut one_hop_start = Vec::with_capacity(n + 1);
+        let mut one_hop = Vec::new();
+        one_hop_start.push(0);
+        for v in graph.nodes() {
+            one_hop.extend(graph.active_neighbors(v).iter().map(|w| w.index() as u32));
+            one_hop_start.push(one_hop.len() as u32);
+        }
+
+        // `seen[t] == owner + 1` once `t` is the owner itself, one of its
+        // one-hop neighbours, or a two-hop target already given its via.
+        let mut seen = vec![0u32; n];
+        let mut two_hop_start = Vec::with_capacity(one_hop.len() + 1);
+        let mut two_hop = Vec::new();
+        two_hop_start.push(0);
+        for owner in 0..n {
+            let stamp = owner as u32 + 1;
+            let neighbours = &one_hop[csr(&one_hop_start, owner)];
+            seen[owner] = stamp;
+            for &w in neighbours {
+                seen[w as usize] = stamp;
+            }
+            for &w in neighbours {
+                for &t in &one_hop[csr(&one_hop_start, w as usize)] {
+                    if seen[t as usize] != stamp {
+                        seen[t as usize] = stamp;
+                        two_hop.push(t);
+                    }
+                }
+                two_hop_start.push(two_hop.len() as u32);
+            }
+        }
+
         Self {
             options,
-            tables,
-            candidates,
-            coordinates: spaces.all_coordinates().to_vec(),
-            active: (0..n).map(|i| graph.is_active(NodeId::new(i))).collect(),
-            adjacency: (0..n)
-                .map(|i| graph.active_neighbors(NodeId::new(i)))
-                .collect(),
+            spaces: spaces.num_spaces(),
+            coords,
+            table_coords,
+            active: graph.nodes().map(|v| graph.is_active(v)).collect(),
+            one_hop_start,
+            one_hop,
+            two_hop_start,
+            two_hop,
             fallback_routes: AtomicU64::new(0),
             decisions: AtomicU64::new(0),
         }
     }
 
-    fn collect_candidates(table: &RoutingTable, use_quantized: bool) -> NodeCandidates {
-        let mut one_hop = Vec::new();
-        let mut two_hop = Vec::new();
-        for cand in table.candidates(use_quantized) {
-            match cand.hop {
-                HopCount::One => one_hop.push((cand.node, cand.coordinates)),
-                HopCount::Two => two_hop.push((cand.via, cand.node, cand.coordinates)),
-            }
-        }
-        // Presorted by node id: `next_hop` streams the improving set in this
-        // order instead of collecting and sorting per decision, which keeps
-        // the hot path allocation-free while preserving the exact
-        // first-minimum tie-break of the old sort + min_by pipeline.
-        one_hop.sort_by_key(|(node, _)| *node);
-        NodeCandidates { one_hop, two_hop }
-    }
-
     /// Rebuilds all routing state from the (possibly reconfigured) topology.
     /// The paper performs the equivalent by flipping blocking/valid/hop bits
-    /// in the affected routers; rebuilding gives the same end state.
+    /// in the affected routers; rebuilding gives the same end state. The
+    /// decision and fallback counters carry over.
     pub fn resync(&mut self, graph: &AdjacencyGraph, spaces: &VirtualSpaces) {
-        let refreshed = Self::from_parts(graph, spaces, self.options);
-        self.tables = refreshed.tables;
-        self.candidates = refreshed.candidates;
-        self.coordinates = refreshed.coordinates;
-        self.active = refreshed.active;
-        self.adjacency = refreshed.adjacency;
-    }
-
-    /// The per-router routing tables (for storage-cost studies).
-    #[must_use]
-    pub fn tables(&self) -> &[RoutingTable] {
-        &self.tables
+        *self = Self {
+            fallback_routes: std::mem::take(&mut self.fallback_routes),
+            decisions: std::mem::take(&mut self.decisions),
+            ..Self::from_parts(graph, spaces, self.options)
+        };
     }
 
     /// The options this protocol instance was built with.
@@ -195,14 +231,44 @@ impl GreediestRouting {
     /// Minimum circular distance between two nodes' coordinate vectors.
     #[must_use]
     pub fn md(&self, a: NodeId, b: NodeId) -> f64 {
-        minimum_circular_distance(&self.coordinates[a.index()], &self.coordinates[b.index()])
+        min_circular_distance(self.coords_of(a.index()), self.coords_of(b.index()))
+    }
+
+    fn coords_of(&self, node: usize) -> &[f64] {
+        &self.coords[node * self.spaces..(node + 1) * self.spaces]
+    }
+
+    fn table_coords_of(&self, node: u32) -> &[f64] {
+        let node = node as usize;
+        &self.table_coords[node * self.spaces..(node + 1) * self.spaces]
+    }
+
+    fn neighbours(&self, node: usize) -> &[u32] {
+        &self.one_hop[csr(&self.one_hop_start, node)]
+    }
+
+    /// The best MD to `dest` reachable through one-hop entry `entry` within
+    /// one more hop, starting from the neighbour's own MD.
+    fn two_hop_score(&self, entry: usize, dest: u32, own_md: f64, dest_coords: &[f64]) -> f64 {
+        let mut best = own_md;
+        for &t in &self.two_hop[csr(&self.two_hop_start, entry)] {
+            let md = if t == dest {
+                0.0
+            } else {
+                min_circular_distance(self.table_coords_of(t), dest_coords)
+            };
+            if md < best {
+                best = md;
+            }
+        }
+        best
     }
 
     fn check(&self, node: NodeId) -> SfResult<()> {
-        if node.index() >= self.coordinates.len() {
+        if node.index() >= self.active.len() {
             return Err(SfError::UnknownNode {
                 node: node.index(),
-                network_size: self.coordinates.len(),
+                network_size: self.active.len(),
             });
         }
         if !self.active[node.index()] {
@@ -214,7 +280,7 @@ impl GreediestRouting {
     /// BFS escape hatch used when the greedy improving set is empty (only
     /// possible transiently after reconfiguration).
     fn bfs_next_hop(&self, at: NodeId, dest: NodeId) -> SfResult<NodeId> {
-        let n = self.adjacency.len();
+        let n = self.active.len();
         let mut prev: Vec<Option<usize>> = vec![None; n];
         let mut visited = vec![false; n];
         visited[at.index()] = true;
@@ -232,8 +298,8 @@ impl GreediestRouting {
                 }
                 return Ok(NodeId::new(hop));
             }
-            for next in &self.adjacency[cur] {
-                let ni = next.index();
+            for &next in self.neighbours(cur) {
+                let ni = next as usize;
                 if !visited[ni] && self.active[ni] {
                     visited[ni] = true;
                     prev[ni] = Some(cur);
@@ -271,69 +337,48 @@ impl RoutingProtocol for GreediestRouting {
             return Ok(dest);
         }
 
-        let dest_coords = &self.coordinates[dest.index()];
-        let current_md = minimum_circular_distance(&self.coordinates[at.index()], dest_coords);
-        let cands = &self.candidates[at.index()];
+        let dest_id = dest.index() as u32;
+        let dest_coords = self.coords_of(dest.index());
+        let current_md = min_circular_distance(self.coords_of(at.index()), dest_coords);
+        let entries = csr(&self.one_hop_start, at.index());
 
-        // Direct neighbour? Deliver immediately.
-        if cands
-            .one_hop
-            .iter()
-            .any(|(node, _)| *node == dest && self.active[dest.index()])
-        {
+        // Direct neighbour? Deliver immediately. (Every candidate is active:
+        // the arrays are rebuilt from the live graph on each resync.)
+        if self.one_hop[entries.clone()].contains(&dest_id) {
             return Ok(dest);
         }
 
-        // Score an improving neighbour by the best MD reachable through it
-        // within one more hop (two-hop lookahead), if enabled.
-        let score = |w: NodeId, own_md: f64| -> f64 {
-            if !self.options.use_two_hop {
-                return own_md;
-            }
-            let mut best = own_md;
-            for (via, target, coords) in &cands.two_hop {
-                if *via == w && self.active[target.index()] {
-                    let md = if *target == dest {
-                        0.0
-                    } else {
-                        minimum_circular_distance(coords, dest_coords)
-                    };
-                    if md < best {
-                        best = md;
-                    }
-                }
-            }
-            best
-        };
-
         // Stream the improving set W (one-hop neighbours strictly closer to
-        // the destination in MD) straight out of the presorted candidate
-        // list: no per-decision collect or sort. Strict `<` keeps the first
-        // minimum in node-id order, matching the old sort + `min_by`
-        // tie-break exactly.
+        // the destination in MD) in ascending node-id order. Strict `<`
+        // keeps the first minimum, so ties go to the smallest id. Each
+        // improving neighbour is scored by the best MD reachable through it
+        // within one more hop (two-hop lookahead), if enabled.
         let adaptive = self.options.adaptive && ctx.first_hop;
         let mut best_overall: Option<(NodeId, f64)> = None;
         // Best-scored neighbour whose output queue is below the adaptive
         // threshold; if every improving port is congested, the overall best
         // wins (the paper's behaviour).
         let mut best_under: Option<(NodeId, f64)> = None;
-        for (node, coords) in &cands.one_hop {
-            if !self.active[node.index()] {
-                continue;
-            }
-            let md = minimum_circular_distance(coords, dest_coords);
+        for entry in entries {
+            let w = self.one_hop[entry];
+            let md = min_circular_distance(self.table_coords_of(w), dest_coords);
             if md >= current_md {
                 continue;
             }
-            let scored = score(*node, md);
+            let scored = if self.options.use_two_hop {
+                self.two_hop_score(entry, dest_id, md, dest_coords)
+            } else {
+                md
+            };
+            let node = NodeId::new(w as usize);
             if best_overall.is_none_or(|(_, best)| scored < best) {
-                best_overall = Some((*node, scored));
+                best_overall = Some((node, scored));
             }
             if adaptive
-                && loads.load(at, *node) < ctx.adaptive_threshold
+                && loads.load(at, node) < ctx.adaptive_threshold
                 && best_under.is_none_or(|(_, best)| scored < best)
             {
-                best_under = Some((*node, scored));
+                best_under = Some((node, scored));
             }
         }
 
@@ -348,10 +393,10 @@ impl RoutingProtocol for GreediestRouting {
     }
 
     fn virtual_channel(&self, at: NodeId, _next: NodeId, dest: NodeId) -> VirtualChannelId {
-        let at_coords = &self.coordinates[at.index()];
-        let dest_coords = &self.coordinates[dest.index()];
-        let (space, _) = at_coords.closest_space(dest_coords);
-        if dest_coords.coordinate(space) >= at_coords.coordinate(space) {
+        let at_coords = self.coords_of(at.index());
+        let dest_coords = self.coords_of(dest.index());
+        let (space, _) = closest_space(at_coords, dest_coords);
+        if dest_coords[space.index()] >= at_coords[space.index()] {
             VirtualChannelId::UP
         } else {
             VirtualChannelId::DOWN
@@ -360,11 +405,14 @@ impl RoutingProtocol for GreediestRouting {
 }
 
 #[cfg(test)]
+mod oracle_tests;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::{trace_route, trace_route_with_loads, TableLoad};
     use sf_topology::spaces::paper_figure3_example;
-    use sf_types::NetworkConfig;
+    use sf_types::{minimum_circular_distance, NetworkConfig};
 
     fn n(i: usize) -> NodeId {
         NodeId::new(i)

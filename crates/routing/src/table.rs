@@ -364,8 +364,8 @@ mod tests {
         for cand in table.candidates(false) {
             assert_eq!(cand.coordinates.num_spaces(), 2);
             assert_eq!(
-                cand.coordinates.as_slice(),
-                topo.coordinates(cand.node).as_slice(),
+                cand.coordinates.values(),
+                topo.coordinates(cand.node).values(),
                 "full-precision candidate coordinates must match the topology"
             );
             if cand.hop == HopCount::One {

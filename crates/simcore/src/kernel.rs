@@ -242,8 +242,7 @@ struct FaultRuntime {
     /// pool of link-down waves.
     edges: Vec<FaultEdge>,
     /// Flattened per-directed-link down flags:
-    /// `link_down[link_offset[to] + from_index]`.
-    link_offset: Vec<usize>,
+    /// `link_down[link_offset[to] + from_index]` (see [`Shared::link_offset`]).
     link_down: Vec<AtomicBool>,
     /// Per-router power-gate flags.
     router_down: Vec<AtomicBool>,
@@ -274,9 +273,13 @@ struct Shared {
     num_nodes: usize,
     active: Vec<bool>,
     adjacency: Vec<Vec<NodeId>>,
-    /// For each node, maps a neighbouring node index to its position in the
-    /// adjacency list (= input-queue group index).
-    neighbor_index: Vec<HashMap<usize, usize>>,
+    /// Start of node `m`'s directed links in every per-link array: link
+    /// `m → adjacency[m][i]` is slot `link_offset[m] + i`.
+    link_offset: Vec<usize>,
+    /// Reverse ports: `rev_port[link_offset[m] + i]` is the position of `m`
+    /// in `adjacency[adjacency[m][i]]` — the input-queue group the link
+    /// feeds at the receiving router.
+    rev_port: Vec<u32>,
     plan: ShardPlan,
     shards: Vec<Mutex<ShardState>>,
     /// Per-destination-shard arrival inboxes: packets in flight towards the
@@ -287,12 +290,11 @@ struct Shared {
     inboxes: Vec<Mutex<InFlightPool>>,
     /// Flattened credit counters mirroring the queues *plus* packets in
     /// flight towards them (the hardware credit counters):
-    /// `occupancy[occ_offset[node] + neighbor_idx * vcs + vc]`. The counter
+    /// `occupancy[(link_offset[node] + neighbor_idx) * vcs + vc]`. The counter
     /// for link `m → x` lives at node `x` and is written only by `m`
     /// (take on forward) and `x` (return on pop) — which is what lets the
     /// wavefront order them with plain relaxed atomics.
     occupancy: Vec<AtomicUsize>,
-    occ_offset: Vec<usize>,
     /// Wavefront epochs: `done[m] == cycle + 1` once router `m` finished the
     /// routing phase of `cycle`. Release/Acquire pairs on these publish the
     /// relaxed occupancy writes.
@@ -304,7 +306,20 @@ struct Shared {
 
 impl Shared {
     fn occ(&self, node: usize, link: usize, vc: usize) -> &AtomicUsize {
-        &self.occupancy[self.occ_offset[node] + link * self.config.virtual_channels + vc]
+        let vcs = self.config.virtual_channels;
+        &self.occupancy[(self.link_offset[node] + link) * vcs + vc]
+    }
+
+    /// Output port of `node` towards neighbour `next` (its position in
+    /// `node`'s adjacency list), or `None` if they are not linked.
+    fn out_port(&self, node: usize, next: NodeId) -> Option<usize> {
+        self.adjacency[node].iter().position(|&x| x == next)
+    }
+
+    /// Input-queue group at the receiving end of `node`'s output port
+    /// `out_port`.
+    fn down_port(&self, node: usize, out_port: usize) -> usize {
+        self.rev_port[self.link_offset[node] + out_port] as usize
     }
 
     /// Whether router `node` is currently power-gated by fault injection.
@@ -319,7 +334,7 @@ impl Shared {
     fn link_faulted(&self, to: usize, from_index: usize) -> bool {
         self.fault
             .as_ref()
-            .is_some_and(|f| f.link_down[f.link_offset[to] + from_index].load(Ordering::Relaxed))
+            .is_some_and(|f| f.link_down[self.link_offset[to] + from_index].load(Ordering::Relaxed))
     }
 
     fn lock_all(&self) -> Vec<MutexGuard<'_, ShardState>> {
@@ -397,9 +412,10 @@ impl PortLoadEstimator for AtomicLoadView<'_> {
     fn load(&self, from: NodeId, to: NodeId) -> f64 {
         // The sender observes the occupancy of the downstream input queue for
         // its link (what the credit counter tracks in hardware).
-        let Some(&idx) = self.shared.neighbor_index[to.index()].get(&from.index()) else {
+        let Some(out) = self.shared.out_port(from.index(), to) else {
             return 0.0;
         };
+        let idx = self.shared.down_port(from.index(), out);
         // A dead link or router reads as fully loaded, so adaptive protocols
         // route around the fault instead of waiting for its repair.
         if self.shared.router_faulted(to.index()) || self.shared.link_faulted(to.index(), idx) {
@@ -480,27 +496,30 @@ impl ShardedSimulator {
         let adjacency: Vec<Vec<NodeId>> = (0..num_nodes)
             .map(|i| graph.active_neighbors(NodeId::new(i)))
             .collect();
-        let neighbor_index: Vec<HashMap<usize, usize>> = adjacency
-            .iter()
-            .map(|nbs| {
-                nbs.iter()
-                    .enumerate()
-                    .map(|(idx, n)| (n.index(), idx))
-                    .collect()
-            })
-            .collect();
+        let mut link_offset = Vec::with_capacity(num_nodes);
+        let mut total_links = 0usize;
+        for nbs in &adjacency {
+            link_offset.push(total_links);
+            total_links += nbs.len();
+        }
+        let mut rev_port = Vec::with_capacity(total_links);
+        for (m, nbs) in adjacency.iter().enumerate() {
+            for x in nbs {
+                let back = adjacency[x.index()]
+                    .iter()
+                    .position(|y| y.index() == m)
+                    .expect("adjacency lists are symmetric");
+                rev_port.push(back as u32);
+            }
+        }
         let vcs = config.virtual_channels;
         let active_count = active.iter().filter(|&&a| a).count();
         let shard_count = resolve_shard_count(&config, active_count);
         let plan = ShardPlan::new(&adjacency, &active, shard_count);
 
-        let mut occ_offset = Vec::with_capacity(num_nodes);
-        let mut total_counters = 0usize;
-        for nbs in &adjacency {
-            occ_offset.push(total_counters);
-            total_counters += nbs.len() * vcs;
-        }
-        let occupancy = (0..total_counters).map(|_| AtomicUsize::new(0)).collect();
+        let occupancy = (0..total_links * vcs)
+            .map(|_| AtomicUsize::new(0))
+            .collect();
 
         let fault = config.fault.map(|plan| {
             // Enumerate the undirected links once, in deterministic order
@@ -508,19 +527,13 @@ impl ShardedSimulator {
             // link-down waves. A uni-directional link contributes one
             // directed slot; a bi-directional one contributes both, so the
             // whole connection fails and heals as a unit.
-            let mut link_offset = Vec::with_capacity(num_nodes);
-            let mut total_links = 0usize;
-            for nbs in &adjacency {
-                link_offset.push(total_links);
-                total_links += nbs.len();
-            }
             let mut edge_index: HashMap<(usize, usize), usize> = HashMap::new();
             let mut edges: Vec<FaultEdge> = Vec::new();
             for (m, nbs) in adjacency.iter().enumerate() {
-                for x in nbs {
+                for (i, x) in nbs.iter().enumerate() {
                     let x = x.index();
                     let key = (m.min(x), m.max(x));
-                    let slot = (x, neighbor_index[x][&m]);
+                    let slot = (x, rev_port[link_offset[m] + i] as usize);
                     match edge_index.get(&key) {
                         Some(&e) => edges[e].slots.push(slot),
                         None => {
@@ -533,7 +546,6 @@ impl ShardedSimulator {
             FaultRuntime {
                 plan,
                 edges,
-                link_offset,
                 link_down: (0..total_links).map(|_| AtomicBool::new(false)).collect(),
                 router_down: (0..num_nodes).map(|_| AtomicBool::new(false)).collect(),
             }
@@ -593,12 +605,12 @@ impl ShardedSimulator {
                 num_nodes,
                 active,
                 adjacency,
-                neighbor_index,
+                link_offset,
+                rev_port,
                 plan,
                 shards,
                 inboxes,
                 occupancy,
-                occ_offset,
                 done: (0..num_nodes).map(|_| AtomicU64::new(0)).collect(),
                 fault,
             },
@@ -1192,7 +1204,7 @@ fn apply_fault_boundary(
         match serial.fault_repairs.remove(i).victim {
             FaultVictim::Edge(e) => {
                 for &(to, idx) in &fault.edges[e].slots {
-                    fault.link_down[fault.link_offset[to] + idx].store(false, Ordering::Relaxed);
+                    fault.link_down[shared.link_offset[to] + idx].store(false, Ordering::Relaxed);
                 }
             }
             FaultVictim::Router(m) => fault.router_down[m].store(false, Ordering::Relaxed),
@@ -1212,11 +1224,11 @@ fn apply_fault_boundary(
         }
         let e = (fault.plan.draw(wave, 0, k as u64) % fault.edges.len() as u64) as usize;
         let (to0, idx0) = fault.edges[e].slots[0];
-        if fault.link_down[fault.link_offset[to0] + idx0].load(Ordering::Relaxed) {
+        if fault.link_down[shared.link_offset[to0] + idx0].load(Ordering::Relaxed) {
             continue;
         }
         for &(to, idx) in &fault.edges[e].slots {
-            fault.link_down[fault.link_offset[to] + idx].store(true, Ordering::Relaxed);
+            fault.link_down[shared.link_offset[to] + idx].store(true, Ordering::Relaxed);
         }
         serial.stats.link_down_events += 1;
         drop_in_flight(shared, serial, |f| {
@@ -1641,7 +1653,7 @@ fn try_forward(
     let next = shared
         .protocol
         .next_hop(NodeId::new(node), packet.destination, &loads, &ctx)?;
-    let Some(&out_idx) = shared.neighbor_index[node].get(&next.index()) else {
+    let Some(out_idx) = shared.out_port(node, next) else {
         return Err(SfError::Simulation {
             reason: format!(
                 "protocol {} chose non-neighbour {next} from node {node}",
@@ -1658,7 +1670,7 @@ fn try_forward(
         .index() as usize;
     let vc = vc.min(shared.config.virtual_channels - 1);
     // Credit check on the downstream input queue.
-    let down_idx = shared.neighbor_index[next.index()][&node];
+    let down_idx = shared.down_port(node, out_idx);
     // A dead next hop or dead link blocks the forward; the packet waits for
     // the repair (or for adaptive routing to pick another port next cycle).
     if shared.router_faulted(next.index()) || shared.link_faulted(next.index(), down_idx) {
@@ -2057,6 +2069,99 @@ mod tests {
         .run(&mut UniformRandomTraffic::new(32, 0.06, 3))
         .unwrap();
         assert_eq!(planned, healthy);
+    }
+
+    /// Every directed link's reverse port points back at its sender, and
+    /// every fault-edge slot names a link into its receiving router.
+    fn assert_reverse_ports(sim: &ShardedSimulator) {
+        let shared = &sim.shared;
+        let links: usize = shared.adjacency.iter().map(Vec::len).sum();
+        assert_eq!(shared.rev_port.len(), links);
+        for (m, nbs) in shared.adjacency.iter().enumerate() {
+            for (out, next) in nbs.iter().enumerate() {
+                assert_eq!(shared.out_port(m, *next), Some(out));
+                let back = shared.down_port(m, out);
+                assert_eq!(shared.adjacency[next.index()][back], NodeId::new(m));
+            }
+        }
+        for edge in shared.fault.iter().flat_map(|f| &f.edges) {
+            for &(to, idx) in &edge.slots {
+                let from = shared.adjacency[to][idx];
+                assert_eq!(
+                    shared.down_port(
+                        from.index(),
+                        shared.out_port(from.index(), NodeId::new(to)).unwrap()
+                    ),
+                    idx
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn reverse_ports_point_back_at_the_sender() {
+        assert_reverse_ports(&sim(48, 1, 100));
+        let faulty = faulty_sim(48, 1, storm_plan());
+        assert!(faulty
+            .shared
+            .fault
+            .as_ref()
+            .is_some_and(|f| !f.edges.is_empty()));
+        assert_reverse_ports(&faulty);
+        // Gated routers drop out of the adjacency lists.
+        let mut topo = StringFigureTopology::generate(&NetworkConfig::new(64, 8).unwrap()).unwrap();
+        for i in [5usize, 40] {
+            topo.gate_node(NodeId::new(i)).unwrap();
+        }
+        let gated = ShardedSimulator::new(
+            topo.graph().clone(),
+            Box::new(GreediestRouting::new(&topo)),
+            SystemConfig::default(),
+            SimulationConfig::default(),
+        )
+        .unwrap();
+        assert!(gated.shared.adjacency[5].is_empty());
+        assert_reverse_ports(&gated);
+    }
+
+    #[test]
+    fn protocol_choosing_a_non_neighbour_is_an_error() {
+        /// Jumps straight to the destination, neighbour or not.
+        struct Teleport;
+        impl RoutingProtocol for Teleport {
+            fn name(&self) -> &'static str {
+                "teleport"
+            }
+            fn next_hop(
+                &self,
+                _at: NodeId,
+                dest: NodeId,
+                _loads: &dyn PortLoadEstimator,
+                _ctx: &RoutingContext,
+            ) -> SfResult<NodeId> {
+                Ok(dest)
+            }
+        }
+        let topo = StringFigureTopology::generate(&NetworkConfig::new(32, 4).unwrap()).unwrap();
+        let err = ShardedSimulator::new(
+            topo.graph().clone(),
+            Box::new(Teleport),
+            SystemConfig::default(),
+            SimulationConfig {
+                max_cycles: 200,
+                warmup_cycles: 20,
+                ..SimulationConfig::default()
+            },
+        )
+        .unwrap()
+        .run(&mut UniformRandomTraffic::new(32, 0.2, 1))
+        .unwrap_err();
+        assert!(matches!(err, SfError::Simulation { .. }), "{err}");
+        assert!(
+            err.to_string()
+                .contains("protocol teleport chose non-neighbour"),
+            "{err}"
+        );
     }
 
     #[test]

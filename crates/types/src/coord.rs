@@ -180,29 +180,74 @@ impl fmt::Display for QuantizedCoord {
 /// ```
 #[must_use]
 pub fn circular_distance(u: Coordinate, v: Coordinate) -> f64 {
-    let diff = (u.value() - v.value()).abs();
+    ring_distance(u.value(), v.value())
+}
+
+/// The circular-distance arithmetic on raw ring values — the single copy
+/// every distance function in this module goes through.
+#[inline]
+fn ring_distance(u: f64, v: f64) -> f64 {
+    let diff = (u - v).abs();
     diff.min(1.0 - diff)
 }
 
 /// Minimum circular distance `MD(U, V) = min_i D(u_i, v_i)` between two
-/// coordinate vectors of equal length.
+/// coordinate vectors given as raw per-space ring values of equal length.
 ///
-/// # Panics
+/// This is the form routing evaluates per hop. Lengths are fixed (and
+/// validated) when a network's virtual spaces are built, so they are only
+/// checked in debug builds.
 ///
-/// Panics if the two vectors have different lengths or are empty; coordinate
-/// vectors within one network always share the same number of virtual spaces.
+/// ```
+/// use sf_types::min_circular_distance;
+/// assert!((min_circular_distance(&[0.1, 0.8], &[0.6, 0.85]) - 0.05).abs() < 1e-12);
+/// ```
 #[must_use]
-pub fn minimum_circular_distance(u: &CoordinateVector, v: &CoordinateVector) -> f64 {
-    assert_eq!(
-        u.num_spaces(),
-        v.num_spaces(),
+#[inline]
+pub fn min_circular_distance(u: &[f64], v: &[f64]) -> f64 {
+    debug_assert_eq!(
+        u.len(),
+        v.len(),
         "coordinate vectors must span the same virtual spaces"
     );
-    assert!(u.num_spaces() > 0, "coordinate vectors must not be empty");
+    debug_assert!(!u.is_empty(), "coordinate vectors must not be empty");
     u.iter()
-        .zip(v.iter())
-        .map(|(a, b)| circular_distance(a, b))
+        .zip(v)
+        .map(|(&a, &b)| ring_distance(a, b))
         .fold(f64::INFINITY, f64::min)
+}
+
+/// The virtual space whose circular distance between `u` and `v` is minimal
+/// (the first such space on ties), together with that distance — the
+/// "MD-defining space" used for virtual-channel selection. Same length
+/// contract as [`min_circular_distance`].
+///
+/// ```
+/// use sf_types::{closest_space, SpaceId};
+/// let (space, d) = closest_space(&[0.1, 0.8], &[0.6, 0.85]);
+/// assert_eq!(space, SpaceId::new(1));
+/// assert!((d - 0.05).abs() < 1e-12);
+/// ```
+#[must_use]
+#[inline]
+pub fn closest_space(u: &[f64], v: &[f64]) -> (SpaceId, f64) {
+    debug_assert_eq!(u.len(), v.len());
+    debug_assert!(!u.is_empty());
+    let mut best = (SpaceId::new(0), f64::INFINITY);
+    for (i, (&a, &b)) in u.iter().zip(v).enumerate() {
+        let d = ring_distance(a, b);
+        if d < best.1 {
+            best = (SpaceId::new(i), d);
+        }
+    }
+    best
+}
+
+/// Minimum circular distance between two coordinate vectors; see
+/// [`min_circular_distance`].
+#[must_use]
+pub fn minimum_circular_distance(u: &CoordinateVector, v: &CoordinateVector) -> f64 {
+    min_circular_distance(u.values(), v.values())
 }
 
 /// The full set of virtual-space coordinates assigned to one memory node.
@@ -220,20 +265,24 @@ pub fn minimum_circular_distance(u: &CoordinateVector, v: &CoordinateVector) -> 
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CoordinateVector {
-    coords: Vec<Coordinate>,
+    /// Raw ring values in space order (each validated into `[0, 1)` by the
+    /// [`Coordinate`] it came from).
+    values: Vec<f64>,
 }
 
 impl CoordinateVector {
     /// Creates a coordinate vector from per-space coordinates.
     #[must_use]
     pub fn new(coords: Vec<Coordinate>) -> Self {
-        Self { coords }
+        Self {
+            values: coords.into_iter().map(Coordinate::value).collect(),
+        }
     }
 
     /// Number of virtual spaces covered by this vector.
     #[must_use]
     pub fn num_spaces(&self) -> usize {
-        self.coords.len()
+        self.values.len()
     }
 
     /// Returns the coordinate in the given virtual space.
@@ -243,53 +292,39 @@ impl CoordinateVector {
     /// Panics if `space` is out of range.
     #[must_use]
     pub fn coordinate(&self, space: SpaceId) -> Coordinate {
-        self.coords[space.index()]
+        Coordinate(self.values[space.index()])
     }
 
     /// Returns the coordinate in the given virtual space, if present.
     #[must_use]
     pub fn get(&self, space: SpaceId) -> Option<Coordinate> {
-        self.coords.get(space.index()).copied()
+        self.values.get(space.index()).map(|&v| Coordinate(v))
     }
 
     /// Iterates over coordinates in space order.
     pub fn iter(&self) -> impl Iterator<Item = Coordinate> + '_ {
-        self.coords.iter().copied()
+        self.values.iter().map(|&v| Coordinate(v))
     }
 
-    /// Returns the coordinates as a slice in space order.
+    /// Returns the raw ring values in space order.
     #[must_use]
-    pub fn as_slice(&self) -> &[Coordinate] {
-        &self.coords
+    pub fn values(&self) -> &[f64] {
+        &self.values
     }
 
     /// Returns the index of the virtual space whose circular distance to the
-    /// other vector is minimal, together with that distance.
-    ///
-    /// This is the "MD-defining space" used for virtual-channel selection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vectors differ in length or are empty.
+    /// other vector is minimal, together with that distance; see
+    /// [`closest_space`].
     #[must_use]
     pub fn closest_space(&self, other: &Self) -> (SpaceId, f64) {
-        assert_eq!(self.num_spaces(), other.num_spaces());
-        assert!(self.num_spaces() > 0);
-        let mut best = (SpaceId::new(0), f64::INFINITY);
-        for (i, (a, b)) in self.iter().zip(other.iter()).enumerate() {
-            let d = circular_distance(a, b);
-            if d < best.1 {
-                best = (SpaceId::new(i), d);
-            }
-        }
-        best
+        closest_space(&self.values, &other.values)
     }
 }
 
 impl fmt::Display for CoordinateVector {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "<")?;
-        for (i, c) in self.coords.iter().enumerate() {
+        for (i, c) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -369,7 +404,7 @@ mod tests {
         assert_eq!(v.num_spaces(), 3);
         assert_eq!(v.coordinate(SpaceId::new(2)).value(), 0.6);
         assert_eq!(v.get(SpaceId::new(3)), None);
-        assert_eq!(v.as_slice().len(), 3);
+        assert_eq!(v.values(), &[0.2, 0.4, 0.6]);
         assert_eq!(v.to_string(), "<0.2000, 0.4000, 0.6000>");
     }
 

@@ -51,7 +51,8 @@ pub mod rng;
 
 pub use config::{DramTiming, EnergyModel, NetworkConfig, SimulationConfig, SystemConfig};
 pub use coord::{
-    circular_distance, minimum_circular_distance, Coordinate, CoordinateVector, QuantizedCoord,
+    circular_distance, closest_space, min_circular_distance, minimum_circular_distance, Coordinate,
+    CoordinateVector, QuantizedCoord,
 };
 pub use error::{SfError, SfResult};
 pub use fault::FaultPlan;

@@ -57,6 +57,19 @@ fn routing_table_storage_is_independent_of_scale() {
         per_router_large < per_router_small * 1.6,
         "per-router bits grew from {per_router_small} to {per_router_large}"
     );
+    // Exact totals, pinned so that how the tables are built (stored or on
+    // demand) can never move the storage study.
+    assert_eq!(small.routing_storage_bits(), 32_640);
+    assert_eq!(large.routing_storage_bits(), 325_680);
+}
+
+#[test]
+fn routing_table_storage_after_gating_is_pinned() {
+    let mut network = StringFigureBuilder::new(64).ports(4).build().unwrap();
+    for i in [3usize, 17, 31, 45] {
+        network.gate_node(NodeId::new(i)).unwrap();
+    }
+    assert_eq!(network.routing_storage_bits(), 30_260);
 }
 
 #[test]
