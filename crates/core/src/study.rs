@@ -22,8 +22,8 @@
 //! studies (fault injection, adversarial traffic, scale-out past 1296
 //! nodes) that the same trait machinery makes additive; the `sfbench` CLI
 //! in `sf-bench` is a thin multiplexer over [`StudyRegistry::all`] (paper
-//! plus extended), and the old per-figure binaries are shims that delegate
-//! to the same registry.
+//! plus extended), and the old per-figure binary names resolve as registry
+//! aliases.
 
 use crate::comparison::{NetworkInstance, TopologyKind};
 use crate::experiments::{
