@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate for the String Figure reproduction workspace.
 #
-#   ./ci.sh          # fmt + clippy + build + tests
+#   ./ci.sh          # fmt + clippy + rustdoc + build + tests
 #   ./ci.sh --quick  # skip the release build (fastest signal)
 #
 # Every step must pass; the script stops at the first failure.
@@ -14,6 +14,11 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Rustdoc lints (dead or redundant intra-doc links) are not caught by
+# `cargo test`; deny them here.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps --offline"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 if [[ "${1:-}" != "--quick" ]]; then
     echo "==> cargo build --release"
@@ -250,3 +255,6 @@ if [[ "${1:-}" != "--quick" ]]; then
 fi
 
 echo "==> CI green"
+# Informational, not a gate: the workspace size, measured the same way in
+# every change.
+echo "    workspace Rust LOC: $(find crates src tests examples -name '*.rs' | xargs cat | wc -l)"

@@ -46,6 +46,10 @@ pub const RUN_VALUE_FLAGS: &[&str] = &[
     "--partition",
 ];
 
+/// The value flags of `sfbench run` that take an unsigned integer.
+pub(crate) const RUN_NUMERIC_FLAGS: &[&str] =
+    &["--shards", "--max-journal-bytes", "--telemetry-every"];
+
 /// Parsed command-line arguments: the one flag-parsing code path shared by
 /// every `sfbench` subcommand. Supports both `--flag value` and
 /// `--flag=value`.
@@ -110,6 +114,24 @@ impl CliArgs {
                 None
             }
         }
+    }
+
+    /// Reports on stderr every flag among `names` whose value does not
+    /// parse as an unsigned integer, and returns whether there was one.
+    /// Commands call this before doing any work, so a malformed number
+    /// aborts the command instead of silently falling back to a default.
+    #[must_use]
+    pub(crate) fn reject_malformed_numbers(&self, names: &[&str]) -> bool {
+        let mut rejected = false;
+        for name in names {
+            if let Some(text) = self.value(name) {
+                if text.parse::<usize>().is_err() {
+                    eprintln!("error: {name} expects an unsigned integer, got '{text}'");
+                    rejected = true;
+                }
+            }
+        }
+        rejected
     }
 
     /// The two values of a paired flag: `--diff a.json b.json` (or
@@ -200,9 +222,7 @@ fn context_from_args(args: &CliArgs, partition: Option<Partition>) -> RunContext
             .into_owned(),
         None => path,
     };
-    let mut ctx = RunContext::new()
-        .quick(args.flag("--quick"))
-        .with_shards(args.usize_value("--shards").unwrap_or(0));
+    let mut ctx = RunContext::new().quick(args.flag("--quick"));
     if let Some(p) = partition {
         ctx = ctx.with_partition(p);
     }
@@ -258,6 +278,9 @@ fn run_study(study: &dyn Study, args: &CliArgs) -> i32 {
         );
         return 2;
     }
+    if args.reject_malformed_numbers(RUN_NUMERIC_FLAGS) {
+        return 2;
+    }
     // The partition gate: only single-sweep row-streaming studies have the
     // "one row per point, one sweep per run" shape contiguous index slicing
     // relies on; collected studies (normalised baselines, multi-sweep
@@ -297,8 +320,9 @@ fn run_study(study: &dyn Study, args: &CliArgs) -> i32 {
         }
     }
     progress.note(&format!("# {}: {}", study.artefact(), study.description()));
-    crate::announce_pool(args.usize_value("--shards").unwrap_or(0));
-    let ctx = context_from_args(args, partition);
+    let shards = args.usize_value("--shards").unwrap_or(0);
+    crate::announce_pool(shards);
+    let ctx = context_from_args(args, partition).with_shards(shards);
     let code = match execute(study, &ctx) {
         Ok(table) => {
             // The result table and figure extras are human-facing summaries;
@@ -747,6 +771,25 @@ mod tests {
             ]),
             2
         );
+        // A malformed number must abort the command, not fall back to a
+        // default (auto shards, no journal cap, the default telemetry
+        // cadence, dispatch heartbeat or retry budget).
+        let dir = std::env::temp_dir().join(format!("sfbench-bad-{}", std::process::id()));
+        let dir = dir.display();
+        for bad in [
+            "run fig08 --quick --shards many".to_string(),
+            "run fig08 --quick --shards=-1".to_string(),
+            format!("run fig08 --quick --max-journal-bytes 1e6 --csv {dir}.csv"),
+            "run fig08 --quick --telemetry-every x".to_string(),
+            "dispatch --workers 2 --heartbeat-timeout x run megasweep".to_string(),
+            "dispatch --workers 2 --max-retries x run megasweep".to_string(),
+            format!("dispatch --workers 2 run megasweep --csv {dir}.csv --shards x"),
+            format!("submit fig05 --socket {dir}.sock --shards x"),
+        ] {
+            let argv: Vec<String> = bad.split_whitespace().map(str::to_string).collect();
+            assert_eq!(main(argv), 2, "{bad}");
+        }
+        assert!(!std::path::Path::new(&format!("{dir}.csv")).exists());
         // The retired perf-trajectory input is an unknown report flag now
         // (its name is assembled so a tree-wide search for it finds no use).
         let retired = format!("--{}-dir", "bench");

@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use sf_harness::fabric::{self, MergeError, Partition, ShardFormat, ShardMeta};
 use stringfigure::study::StudyRegistry;
 
-use crate::cli::CliArgs;
+use crate::cli::{CliArgs, RUN_NUMERIC_FLAGS};
 
 /// Boolean flags `sfbench merge` accepts.
 const MERGE_BOOL_FLAGS: &[&str] = &["--allow-partial", "--quiet"];
@@ -524,6 +524,9 @@ pub fn dispatch_main(args: Vec<String>) -> i32 {
         );
         return 2;
     }
+    if coord.reject_malformed_numbers(&["--workers", "--heartbeat-timeout", "--max-retries"]) {
+        return 2;
+    }
     let Some(workers) = coord.usize_value("--workers") else {
         eprintln!("error: 'dispatch' needs --workers N");
         return 2;
@@ -572,6 +575,9 @@ pub fn dispatch_main(args: Vec<String>) -> i32 {
         return 2;
     }
     let run_args = CliArgs::new(run_flags.to_vec());
+    if run_args.reject_malformed_numbers(RUN_NUMERIC_FLAGS) {
+        return 2;
+    }
     if run_args.value("--partition").is_some() {
         eprintln!("error: dispatch assigns --partition itself; drop it from the run command");
         return 2;

@@ -9,7 +9,7 @@
 //!
 //! Three process-wide resources are shared across concurrent jobs:
 //!
-//! * one [`TenantLedger`](sf_harness::budget::TenantLedger) arbitrating
+//! * one [`TenantLedger`] arbitrating
 //!   cores — per-job reservations, FIFO within a priority class,
 //!   interactive-over-batch, fair-share when oversubscribed;
 //! * one warm [`TopologyCache`] so repeated jobs skip topology builds;
@@ -465,7 +465,9 @@ pub fn submit_main(args: Vec<String>) -> i32 {
     } else {
         args
     });
-    if reject_unknown_flags(&flags, SUBMIT_BOOL_FLAGS, SUBMIT_VALUE_FLAGS) {
+    if reject_unknown_flags(&flags, SUBMIT_BOOL_FLAGS, SUBMIT_VALUE_FLAGS)
+        || flags.reject_malformed_numbers(&["--cores", "--shards"])
+    {
         return 2;
     }
     let Some(socket) = flags.value("--socket") else {

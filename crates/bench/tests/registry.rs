@@ -1,9 +1,10 @@
 //! Registry completeness and golden-artifact tests for the unified study
 //! API.
 //!
-//! * Every artefact listed in the `experiments.rs` doc table — the eight
-//!   paper artefacts plus the extended scenarios — must have a registered
-//!   [`Study`] with a non-empty description, in the right registry group.
+//! * Every study listed in the `study` module doc table — the eight paper
+//!   artefacts plus the extended scenarios — must be registered under that
+//!   name with that artefact and a non-empty description, in the right
+//!   registry group.
 //! * `sfbench run <study> --quick --csv` must emit a CSV byte-identical to
 //!   the golden fixture under `tests/golden/` (the paper goldens were
 //!   captured before the PR-3 redesign; the scenario goldens pin the
@@ -15,54 +16,52 @@ use sf_bench::cli;
 use stringfigure::study::{execute, study_fingerprint, RunContext, Study, StudyRegistry};
 
 #[test]
-fn registry_covers_every_artefact_in_the_experiments_doc_table() {
-    let source = include_str!("../../core/src/experiments.rs");
-    let mut drivers = Vec::new();
+fn registry_covers_every_artefact_in_the_study_doc_table() {
+    // Rows of the `study` module doc table: `//! | `name` | module | artefact |`.
+    let source = include_str!("../../core/src/study.rs");
+    let mut rows = Vec::new();
     for line in source.lines() {
-        let Some(rest) = line.trim_start().strip_prefix("//! | [`") else {
+        let Some(rest) = line.trim_start().strip_prefix("//! | `") else {
             continue;
         };
-        let Some(end) = rest.find('`') else { continue };
-        drivers.push(&rest[..end]);
+        let cells: Vec<&str> = rest.split('|').map(str::trim).collect();
+        let (Some(name), Some(artefact)) = (cells[0].strip_suffix('`'), cells.get(2)) else {
+            panic!("malformed study doc table row: {line}");
+        };
+        rows.push((name, *artefact));
     }
     assert_eq!(
-        drivers.len(),
+        rows.len(),
         12,
-        "experiments.rs doc table should list the eight paper artefacts plus the four scenarios"
+        "the study doc table should list the eight paper artefacts plus the four scenarios"
     );
     let paper = StudyRegistry::paper();
     let extended = StudyRegistry::extended();
     let registry = StudyRegistry::all();
     assert_eq!(registry.len(), paper.len() + extended.len());
-    for driver in drivers {
+    assert_eq!(registry.len(), rows.len(), "registry and doc table differ");
+    for (name, artefact) in rows {
         let study = registry
-            .iter()
-            .find(|s| s.driver() == driver)
-            .unwrap_or_else(|| panic!("no registered study for experiments::{driver}"));
+            .get(name)
+            .filter(|s| s.name() == name)
+            .unwrap_or_else(|| panic!("no registered study named {name}"));
+        assert_eq!(study.artefact(), artefact, "study {name} artefact");
         assert!(
             !study.description().is_empty(),
-            "study {} has an empty description",
-            study.name()
-        );
-        assert!(
-            !study.artefact().is_empty(),
-            "study {} has an empty artefact",
-            study.name()
+            "study {name} has an empty description"
         );
         // Scenario studies live in the extended group and only there;
         // everything else is a paper artefact and only that.
-        let is_scenario = study.artefact().starts_with("Scenario:");
+        let is_scenario = artefact.starts_with("Scenario:");
         assert_eq!(
-            extended.get(study.name()).is_some(),
+            extended.get(name).is_some(),
             is_scenario,
-            "study {} is in the wrong registry group",
-            study.name()
+            "study {name} is in the wrong registry group"
         );
         assert_eq!(
-            paper.get(study.name()).is_some(),
+            paper.get(name).is_some(),
             !is_scenario,
-            "study {} is in the wrong registry group",
-            study.name()
+            "study {name} is in the wrong registry group"
         );
     }
 }

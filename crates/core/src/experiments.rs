@@ -1,98 +1,29 @@
-//! Experiment drivers that regenerate the paper's tables and figures.
+//! Shared helpers of the study drivers: the simulation-scale policy and the
+//! building blocks several studies run their jobs on.
 //!
-//! Each function corresponds to one evaluation artefact and returns plain
-//! serialisable rows. The canonical entry points are the `*_with_ctx`
-//! variants running inside a [`crate::study::RunContext`] (worker pool,
-//! topology cache, checkpoint/resume) — the registered [`crate::study`]
-//! studies and the `sfbench` CLI call those with the paper's parameters —
-//! while the historical `*_study` / `*_with_pool` signatures remain as thin
-//! wrappers for the integration tests, which run them at reduced scale to
-//! check the qualitative trends (who wins, and by roughly how much).
-//!
-//! | function | paper artefact |
-//! |----------|----------------|
-//! | [`surg_path_length_study`]     | Figure 5 |
-//! | [`hop_count_study`]            | Figure 9(a) |
-//! | [`power_gating_study`]         | Figure 9(b) |
-//! | [`saturation_study`]           | Figure 10 |
-//! | [`latency_curve`]              | Figure 11 |
-//! | [`workload_study`]             | Figure 12(a) and 12(b) |
-//! | [`bisection_study`]            | Section V bisection methodology |
-//! | [`configuration_table`]        | Figure 8 / Table II |
-//! | [`fault_resilience_study`]     | Scenario: fault injection |
-//! | [`adversarial_saturation_study`] | Scenario: adversarial traffic |
-//! | [`scaleout_study`]             | Scenario: scale-out beyond 1296 nodes |
-//! | [`megasweep_study`]            | Scenario: streaming mega-sweep |
+//! Each study — its row type, its single driver, and its registered
+//! [`Study`](crate::Study) — lives in its own module under [`crate::study`];
+//! the integration tests call those drivers at reduced scale to check the
+//! qualitative trends (who wins, and by roughly how much).
 
-use crate::comparison::{NetworkInstance, TopologyKind};
+use crate::comparison::NetworkInstance;
 use crate::network::StringFigureNetwork;
 use crate::power::PowerManager;
-use crate::study::RunContext;
 use serde::{Deserialize, Serialize};
-use sf_harness::pool::PoolConfig;
-use sf_harness::sweep::{cross2, cross2_lazy, cross3_lazy};
-use sf_harness::table::{Record, Value};
-use sf_harness::BuildCache;
 use sf_netsim::SimulationStats;
 use sf_topology::analysis;
-use sf_types::{FaultPlan, NodeId, SfResult, SimulationConfig, SystemConfig};
+use sf_types::{NodeId, SfResult, SimulationConfig, SystemConfig};
 use sf_workloads::{
     AddressMapper, ApplicationModel, CacheHierarchy, PatternTraffic, SyntheticPattern,
     WorkloadTraffic,
 };
-use std::sync::{Arc, OnceLock};
-
-// ---------------------------------------------------------------------------
-// Harness plumbing: worker pool, topology cache, outcome collection
-// ---------------------------------------------------------------------------
-
-/// The worker pool every study runs on by default: one worker per CPU,
-/// overridable with the `SF_HARNESS_THREADS` environment variable. Results
-/// are collected by job index, so any worker count produces bit-identical
-/// rows (see the `*_with_pool` variants and the determinism test below).
-#[must_use]
-pub fn default_pool() -> PoolConfig {
-    PoolConfig::auto()
-}
-
-/// A context wrapping an explicit worker pool — the adapter that collapses
-/// the historical `*_study` / `*_with_pool` entry points onto the single
-/// [`RunContext`] code path.
-fn pool_ctx(pool: &PoolConfig) -> RunContext {
-    RunContext::new().with_pool(*pool)
-}
-
-/// Process-wide cache of generated [`NetworkInstance`]s keyed by
-/// `(kind, nodes, seed)`. Construction is a pure function of the key, so
-/// sharing instances across jobs (and across studies) never changes results
-/// — it only removes redundant topology generation from sweeps that revisit
-/// the same network point.
-fn topology_cache() -> &'static BuildCache<(TopologyKind, usize, u64), NetworkInstance> {
-    static CACHE: OnceLock<BuildCache<(TopologyKind, usize, u64), NetworkInstance>> =
-        OnceLock::new();
-    CACHE.get_or_init(BuildCache::new)
-}
-
-/// Builds or reuses the network design `kind` at scale `nodes` with `seed`.
-///
-/// # Errors
-///
-/// Propagates topology construction errors.
-pub fn cached_instance(
-    kind: TopologyKind,
-    nodes: usize,
-    seed: u64,
-) -> SfResult<Arc<NetworkInstance>> {
-    topology_cache().get_or_build((kind, nodes, seed), || {
-        NetworkInstance::build(kind, nodes, seed)
-    })
-}
 
 /// Controls how long the cycle-level simulations of an experiment run.
 ///
 /// The paper's RTL runs use 100,000 operations; integration tests use the
-/// `quick` scale so the whole suite stays fast, while the bench harness uses
-/// `paper` scale.
+/// `quick` scale so the whole suite stays fast, while each registered study
+/// derives its full-scale runs from `paper` through
+/// [`RunContext::scale`](crate::RunContext::scale).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentScale {
     /// Simulated cycles per run.
@@ -120,7 +51,7 @@ impl ExperimentScale {
         }
     }
 
-    /// Full scale used by the benchmark harness.
+    /// Full scale: the base of every study's full-scale runs.
     #[must_use]
     pub fn paper() -> Self {
         Self {
@@ -160,279 +91,6 @@ impl ExperimentScale {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Figure 5: sufficiently-uniform-random-graph path-length comparison
-// ---------------------------------------------------------------------------
-
-/// One row of the Figure 5 comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SurgRow {
-    /// Network size.
-    pub nodes: usize,
-    /// Average shortest path length of Jellyfish.
-    pub jellyfish: f64,
-    /// Average shortest path length of S2.
-    pub s2: f64,
-    /// Average shortest path length of String Figure.
-    pub string_figure: f64,
-}
-
-/// Reproduces Figure 5: average shortest path lengths of Jellyfish, S2, and
-/// String Figure across network sizes, averaged over `seeds` generated
-/// topologies each.
-///
-/// # Errors
-///
-/// Propagates topology construction errors.
-pub fn surg_path_length_study(sizes: &[usize], seeds: u64) -> SfResult<Vec<SurgRow>> {
-    surg_path_length_study_with_ctx(&RunContext::new(), sizes, seeds)
-}
-
-/// [`surg_path_length_study`] on an explicit worker pool.
-///
-/// # Errors
-///
-/// Propagates topology construction errors.
-pub fn surg_path_length_study_with_pool(
-    pool: &PoolConfig,
-    sizes: &[usize],
-    seeds: u64,
-) -> SfResult<Vec<SurgRow>> {
-    surg_path_length_study_with_ctx(&pool_ctx(pool), sizes, seeds)
-}
-
-/// [`surg_path_length_study`] inside an explicit [`RunContext`] — the single
-/// code path behind both wrappers (and the `fig05` study).
-///
-/// # Errors
-///
-/// Propagates topology construction errors.
-pub fn surg_path_length_study_with_ctx(
-    ctx: &RunContext,
-    sizes: &[usize],
-    seeds: u64,
-) -> SfResult<Vec<SurgRow>> {
-    const KINDS: [TopologyKind; 3] = [
-        TopologyKind::Jellyfish,
-        TopologyKind::SpaceShuffle,
-        TopologyKind::StringFigure,
-    ];
-    // One job per (size, topology seed, design), streamed lazily in
-    // row-major order — the same enumeration the eager product built;
-    // aggregation back into one row per size happens serially below, in
-    // enumeration order, so the float accumulation order matches the old
-    // nested loops exactly.
-    let seed_list: Vec<u64> = (0..seeds.max(1)).collect();
-    let points = cross3_lazy(sizes.to_vec(), seed_list.clone(), KINDS.to_vec());
-    let lengths = ctx.run_jobs(points, |_, &(nodes, seed, kind)| {
-        Ok(ctx.instance(kind, nodes, seed + 1)?.average_shortest_path())
-    })?;
-
-    let denom = seeds.max(1) as f64;
-    let per_size = seed_list.len() * KINDS.len();
-    let mut rows = Vec::with_capacity(sizes.len());
-    for (si, &nodes) in sizes.iter().enumerate() {
-        let mut sums = [0.0f64; 3];
-        for (pi, length) in lengths[si * per_size..(si + 1) * per_size]
-            .iter()
-            .enumerate()
-        {
-            sums[pi % KINDS.len()] += length;
-        }
-        rows.push(SurgRow {
-            nodes,
-            jellyfish: sums[0] / denom,
-            s2: sums[1] / denom,
-            string_figure: sums[2] / denom,
-        });
-    }
-    Ok(rows)
-}
-
-// ---------------------------------------------------------------------------
-// Figure 9(a): average hop counts across designs and scales
-// ---------------------------------------------------------------------------
-
-/// One row of the Figure 9(a) hop-count study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HopCountRow {
-    /// Network design.
-    pub kind: TopologyKind,
-    /// Network size.
-    pub nodes: usize,
-    /// Average shortest-path length (graph metric).
-    pub average_shortest_path: f64,
-    /// Average hop count actually taken by the design's routing protocol.
-    pub average_routed_hops: f64,
-    /// Router ports this design needs at this scale.
-    pub router_ports: usize,
-}
-
-/// Reproduces Figure 9(a): average hop counts of every design across network
-/// sizes, using each design's own routing protocol over `samples` random
-/// source/destination pairs.
-///
-/// # Errors
-///
-/// Propagates topology construction and routing errors.
-pub fn hop_count_study(
-    kinds: &[TopologyKind],
-    sizes: &[usize],
-    samples: usize,
-    seed: u64,
-) -> SfResult<Vec<HopCountRow>> {
-    hop_count_study_with_ctx(&RunContext::new(), kinds, sizes, samples, seed)
-}
-
-/// [`hop_count_study`] on an explicit worker pool.
-///
-/// # Errors
-///
-/// Propagates topology construction and routing errors.
-pub fn hop_count_study_with_pool(
-    pool: &PoolConfig,
-    kinds: &[TopologyKind],
-    sizes: &[usize],
-    samples: usize,
-    seed: u64,
-) -> SfResult<Vec<HopCountRow>> {
-    hop_count_study_with_ctx(&pool_ctx(pool), kinds, sizes, samples, seed)
-}
-
-/// [`hop_count_study`] inside an explicit [`RunContext`] — the single code
-/// path behind both wrappers (and the `fig09a` study).
-///
-/// # Errors
-///
-/// Propagates topology construction and routing errors.
-pub fn hop_count_study_with_ctx(
-    ctx: &RunContext,
-    kinds: &[TopologyKind],
-    sizes: &[usize],
-    samples: usize,
-    seed: u64,
-) -> SfResult<Vec<HopCountRow>> {
-    ctx.run_jobs(
-        cross2_lazy(sizes.to_vec(), kinds.to_vec()),
-        |_, &(nodes, kind)| {
-            let instance = ctx.instance(kind, nodes, seed)?;
-            Ok(HopCountRow {
-                kind,
-                nodes,
-                average_shortest_path: instance.average_shortest_path(),
-                average_routed_hops: instance.average_routed_hops(samples)?,
-                router_ports: instance.router_ports(),
-            })
-        },
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Figure 10: network saturation points
-// ---------------------------------------------------------------------------
-
-/// One saturation measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SaturationRow {
-    /// Network design.
-    pub kind: TopologyKind,
-    /// Network size.
-    pub nodes: usize,
-    /// Traffic pattern evaluated.
-    pub pattern: SyntheticPattern,
-    /// Highest injection rate (as a percentage) that did not saturate the
-    /// network; `None` when even the lowest rate saturated.
-    pub saturation_percent: Option<f64>,
-}
-
-/// Reproduces Figure 10: sweeps injection rates and reports the saturation
-/// point of each design/size/pattern combination.
-///
-/// A rate counts as saturated when the simulator's backlog heuristic triggers
-/// or the average latency exceeds four times the latency at the lowest rate.
-///
-/// # Errors
-///
-/// Propagates construction and simulation errors.
-pub fn saturation_study(
-    kinds: &[TopologyKind],
-    nodes: usize,
-    pattern: SyntheticPattern,
-    rates: &[f64],
-    scale: ExperimentScale,
-    seed: u64,
-) -> SfResult<Vec<SaturationRow>> {
-    saturation_study_with_ctx(
-        &RunContext::new(),
-        kinds,
-        nodes,
-        pattern,
-        rates,
-        scale,
-        seed,
-    )
-}
-
-/// [`saturation_study`] on an explicit worker pool.
-///
-/// # Errors
-///
-/// Propagates construction and simulation errors.
-#[allow(clippy::too_many_arguments)]
-pub fn saturation_study_with_pool(
-    pool: &PoolConfig,
-    kinds: &[TopologyKind],
-    nodes: usize,
-    pattern: SyntheticPattern,
-    rates: &[f64],
-    scale: ExperimentScale,
-    seed: u64,
-) -> SfResult<Vec<SaturationRow>> {
-    saturation_study_with_ctx(&pool_ctx(pool), kinds, nodes, pattern, rates, scale, seed)
-}
-
-/// [`saturation_study`] inside an explicit [`RunContext`] — the single code
-/// path behind both wrappers (and the `fig10` study).
-///
-/// One job per design; the injection-rate ladder inside a job stays serial
-/// because each rung's early exit depends on the previous one.
-///
-/// # Errors
-///
-/// Propagates construction and simulation errors.
-#[allow(clippy::too_many_arguments)]
-pub fn saturation_study_with_ctx(
-    ctx: &RunContext,
-    kinds: &[TopologyKind],
-    nodes: usize,
-    pattern: SyntheticPattern,
-    rates: &[f64],
-    scale: ExperimentScale,
-    seed: u64,
-) -> SfResult<Vec<SaturationRow>> {
-    ctx.run_jobs(kinds.to_vec(), |_, &kind| {
-        let instance = ctx.instance(kind, nodes, seed)?;
-        let mut best: Option<f64> = None;
-        let mut base_latency: Option<f64> = None;
-        for &rate in rates {
-            let stats = run_pattern_on(&instance, pattern, rate, scale, seed)?;
-            let latency = stats.average_latency_cycles();
-            let base = *base_latency.get_or_insert(latency.max(1.0));
-            let saturated = stats.is_saturated() || latency > 4.0 * base;
-            if saturated {
-                break;
-            }
-            best = Some(rate);
-        }
-        Ok(SaturationRow {
-            kind,
-            nodes,
-            pattern,
-            saturation_percent: best.map(|r| r * 100.0),
-        })
-    })
-}
-
 /// Runs one synthetic-pattern simulation on a pre-built instance.
 ///
 /// # Errors
@@ -448,199 +106,6 @@ pub fn run_pattern_on(
     let mut sim = instance.make_simulator(SystemConfig::default(), scale.simulation_config())?;
     let mut traffic = PatternTraffic::new(pattern, instance.num_nodes(), injection_rate, seed);
     sim.run(&mut traffic)
-}
-
-// ---------------------------------------------------------------------------
-// Figure 11: latency versus injection rate curves
-// ---------------------------------------------------------------------------
-
-/// One point of a latency-versus-injection-rate curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LatencyPoint {
-    /// Injection rate (packets per node per cycle).
-    pub injection_rate: f64,
-    /// Average packet latency in cycles.
-    pub average_latency_cycles: f64,
-    /// Accepted throughput (delivered packets per node per cycle).
-    pub accepted_throughput: f64,
-    /// Whether the run saturated.
-    pub saturated: bool,
-}
-
-/// Reproduces one curve of Figure 11: average packet latency of `kind` under
-/// `pattern` across the given injection rates.
-///
-/// # Errors
-///
-/// Propagates construction and simulation errors.
-pub fn latency_curve(
-    kind: TopologyKind,
-    nodes: usize,
-    pattern: SyntheticPattern,
-    rates: &[f64],
-    scale: ExperimentScale,
-    seed: u64,
-) -> SfResult<Vec<LatencyPoint>> {
-    latency_curve_with_ctx(&RunContext::new(), kind, nodes, pattern, rates, scale, seed)
-}
-
-/// [`latency_curve`] on an explicit worker pool.
-///
-/// # Errors
-///
-/// Propagates construction and simulation errors.
-#[allow(clippy::too_many_arguments)]
-pub fn latency_curve_with_pool(
-    pool: &PoolConfig,
-    kind: TopologyKind,
-    nodes: usize,
-    pattern: SyntheticPattern,
-    rates: &[f64],
-    scale: ExperimentScale,
-    seed: u64,
-) -> SfResult<Vec<LatencyPoint>> {
-    latency_curve_with_ctx(&pool_ctx(pool), kind, nodes, pattern, rates, scale, seed)
-}
-
-/// [`latency_curve`] inside an explicit [`RunContext`] — the single code
-/// path behind both wrappers (and the `fig11` study): one job per injection
-/// rate, all sharing the cached network instance.
-///
-/// # Errors
-///
-/// Propagates construction and simulation errors.
-#[allow(clippy::too_many_arguments)]
-pub fn latency_curve_with_ctx(
-    ctx: &RunContext,
-    kind: TopologyKind,
-    nodes: usize,
-    pattern: SyntheticPattern,
-    rates: &[f64],
-    scale: ExperimentScale,
-    seed: u64,
-) -> SfResult<Vec<LatencyPoint>> {
-    let instance = ctx.instance(kind, nodes, seed)?;
-    ctx.run_jobs(rates.to_vec(), |_, &rate| {
-        let stats = run_pattern_on(&instance, pattern, rate, scale, seed)?;
-        let measured = scale.max_cycles - scale.warmup_cycles;
-        Ok(LatencyPoint {
-            injection_rate: rate,
-            average_latency_cycles: stats.average_latency_cycles(),
-            accepted_throughput: stats.accepted_throughput(measured),
-            saturated: stats.is_saturated(),
-        })
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Figure 12: real-workload throughput and energy
-// ---------------------------------------------------------------------------
-
-/// Result of one design running one application workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WorkloadRow {
-    /// Network design.
-    pub kind: TopologyKind,
-    /// Application evaluated.
-    pub workload: ApplicationModel,
-    /// Completed memory requests per cycle (the throughput proxy the
-    /// normalised Figure 12(a) bars are derived from).
-    pub requests_per_cycle: f64,
-    /// Average memory-request round-trip latency in cycles.
-    pub average_round_trip_cycles: f64,
-    /// Dynamic memory energy per completed request, in picojoules.
-    pub energy_per_request_pj: f64,
-    /// Total dynamic energy, in picojoules.
-    pub total_energy_pj: f64,
-}
-
-/// Reproduces Figure 12: runs each application on each design in
-/// request–reply mode from `socket_count` processor-attached nodes and
-/// reports throughput and dynamic energy.
-///
-/// # Errors
-///
-/// Propagates construction, workload, and simulation errors.
-pub fn workload_study(
-    kinds: &[TopologyKind],
-    workloads: &[ApplicationModel],
-    nodes: usize,
-    socket_count: usize,
-    scale: ExperimentScale,
-    seed: u64,
-) -> SfResult<Vec<WorkloadRow>> {
-    workload_study_with_ctx(
-        &RunContext::new(),
-        kinds,
-        workloads,
-        nodes,
-        socket_count,
-        scale,
-        seed,
-    )
-}
-
-/// [`workload_study`] on an explicit worker pool.
-///
-/// # Errors
-///
-/// Propagates construction, workload, and simulation errors.
-#[allow(clippy::too_many_arguments)]
-pub fn workload_study_with_pool(
-    pool: &PoolConfig,
-    kinds: &[TopologyKind],
-    workloads: &[ApplicationModel],
-    nodes: usize,
-    socket_count: usize,
-    scale: ExperimentScale,
-    seed: u64,
-) -> SfResult<Vec<WorkloadRow>> {
-    workload_study_with_ctx(
-        &pool_ctx(pool),
-        kinds,
-        workloads,
-        nodes,
-        socket_count,
-        scale,
-        seed,
-    )
-}
-
-/// [`workload_study`] inside an explicit [`RunContext`] — the single code
-/// path behind both wrappers (and the `fig12` study): one job per
-/// (design, application) pair.
-///
-/// # Errors
-///
-/// Propagates construction, workload, and simulation errors.
-#[allow(clippy::too_many_arguments)]
-pub fn workload_study_with_ctx(
-    ctx: &RunContext,
-    kinds: &[TopologyKind],
-    workloads: &[ApplicationModel],
-    nodes: usize,
-    socket_count: usize,
-    scale: ExperimentScale,
-    seed: u64,
-) -> SfResult<Vec<WorkloadRow>> {
-    let injectors = socket_nodes(nodes, socket_count);
-    ctx.run_jobs(
-        cross2_lazy(kinds.to_vec(), workloads.to_vec()),
-        |_, &(kind, workload)| {
-            let instance = ctx.instance(kind, nodes, seed)?;
-            let stats = run_workload_on(&instance, workload, &injectors, scale, seed)?;
-            let measured = scale.max_cycles - scale.warmup_cycles;
-            let completed = stats.completed_requests.max(1);
-            Ok(WorkloadRow {
-                kind,
-                workload,
-                requests_per_cycle: stats.completed_requests as f64 / measured as f64,
-                average_round_trip_cycles: stats.average_round_trip_cycles(),
-                energy_per_request_pj: stats.total_energy_pj() / completed as f64,
-                total_energy_pj: stats.total_energy_pj(),
-            })
-        },
-    )
 }
 
 /// Runs one application workload on a pre-built instance.
@@ -676,672 +141,6 @@ pub fn socket_nodes(nodes: usize, count: usize) -> Vec<NodeId> {
     (0..count).map(|i| NodeId::new(i * nodes / count)).collect()
 }
 
-// ---------------------------------------------------------------------------
-// Figure 9(b): power-gating energy-delay product
-// ---------------------------------------------------------------------------
-
-/// One point of the Figure 9(b) power-management study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PowerGateRow {
-    /// Fraction of memory nodes gated off.
-    pub gated_fraction: f64,
-    /// Number of nodes actually gated.
-    pub gated_nodes: usize,
-    /// Energy-delay product of the run (pJ · cycles).
-    pub energy_delay_product: f64,
-    /// EDP normalised to the un-gated run (lower is better).
-    pub normalized_edp: f64,
-    /// Average request round-trip latency in cycles.
-    pub average_round_trip_cycles: f64,
-}
-
-/// Reproduces Figure 9(b): runs `workload` on a String Figure network while
-/// power gating increasing fractions of the memory nodes, reporting the
-/// normalised energy-delay product.
-///
-/// # Errors
-///
-/// Propagates construction, reconfiguration, and simulation errors.
-pub fn power_gating_study(
-    nodes: usize,
-    fractions: &[f64],
-    workload: ApplicationModel,
-    socket_count: usize,
-    scale: ExperimentScale,
-    seed: u64,
-) -> SfResult<Vec<PowerGateRow>> {
-    power_gating_study_with_ctx(
-        &RunContext::new(),
-        nodes,
-        fractions,
-        workload,
-        socket_count,
-        scale,
-        seed,
-    )
-}
-
-/// [`power_gating_study`] on an explicit worker pool.
-///
-/// # Errors
-///
-/// Propagates construction, reconfiguration, and simulation errors.
-#[allow(clippy::too_many_arguments)]
-pub fn power_gating_study_with_pool(
-    pool: &PoolConfig,
-    nodes: usize,
-    fractions: &[f64],
-    workload: ApplicationModel,
-    socket_count: usize,
-    scale: ExperimentScale,
-    seed: u64,
-) -> SfResult<Vec<PowerGateRow>> {
-    power_gating_study_with_ctx(
-        &pool_ctx(pool),
-        nodes,
-        fractions,
-        workload,
-        socket_count,
-        scale,
-        seed,
-    )
-}
-
-/// [`power_gating_study`] inside an explicit [`RunContext`] — the single
-/// code path behind both wrappers (and the `fig09b` study).
-///
-/// Every fraction is an independent job (each builds and gates its own
-/// network, so nothing is shared); normalisation against the first
-/// fraction's EDP happens serially once all jobs are in, which keeps the
-/// output identical to the old strictly-serial loop.
-///
-/// # Errors
-///
-/// Propagates construction, reconfiguration, and simulation errors.
-#[allow(clippy::too_many_arguments)]
-pub fn power_gating_study_with_ctx(
-    ctx: &RunContext,
-    nodes: usize,
-    fractions: &[f64],
-    workload: ApplicationModel,
-    socket_count: usize,
-    scale: ExperimentScale,
-    seed: u64,
-) -> SfResult<Vec<PowerGateRow>> {
-    let mut rows = ctx.run_jobs(fractions.to_vec(), |_, &fraction| {
-        let mut network = StringFigureNetwork::builder(nodes)
-            .seed(seed)
-            .simulation(scale.simulation_config())
-            .build()?;
-        let gated = if fraction > 0.0 {
-            let mut pm = PowerManager::new(&mut network);
-            pm.gate_fraction(fraction, seed)?
-        } else {
-            Vec::new()
-        };
-        // Processor sockets attach to nodes that remain powered.
-        let active: Vec<NodeId> = network.topology().graph().active_nodes().collect();
-        let injectors: Vec<NodeId> = socket_nodes(active.len(), socket_count)
-            .iter()
-            .map(|i| active[i.index()])
-            .collect();
-        // Data is redistributed over the remaining nodes.
-        let mapper = AddressMapper::paper_default(active.len())?;
-        let cache = CacheHierarchy::tiny()?;
-        let mut traffic = RemappedWorkload {
-            inner: WorkloadTraffic::with_cache(
-                workload,
-                mapper,
-                &remap_injectors(&injectors, &active),
-                seed,
-                &cache,
-            )?,
-            active: active.clone(),
-        };
-        let stats = network.run_traffic(&mut traffic, scale.simulation_config(), true)?;
-        Ok(PowerGateRow {
-            gated_fraction: fraction,
-            gated_nodes: gated.len(),
-            energy_delay_product: stats.energy_delay_product(),
-            // Filled in below once the baseline (first fraction) is known.
-            normalized_edp: 0.0,
-            average_round_trip_cycles: stats.average_round_trip_cycles(),
-        })
-    })?;
-    let base = rows
-        .first()
-        .map_or(1.0, |r| r.energy_delay_product.max(f64::MIN_POSITIVE));
-    for row in &mut rows {
-        row.normalized_edp = row.energy_delay_product / base;
-    }
-    Ok(rows)
-}
-
-/// Maps injector node ids (positions within the active set) back to dense
-/// indices for the shrunken address space.
-fn remap_injectors(injectors: &[NodeId], active: &[NodeId]) -> Vec<NodeId> {
-    injectors
-        .iter()
-        .map(|n| {
-            let pos = active.iter().position(|a| a == n).unwrap_or(0);
-            NodeId::new(pos)
-        })
-        .collect()
-}
-
-/// Wraps a [`WorkloadTraffic`] built over the dense active-node index space
-/// and translates its sources/destinations back to the real node ids of a
-/// partially gated network.
-#[derive(Debug)]
-struct RemappedWorkload {
-    inner: WorkloadTraffic,
-    active: Vec<NodeId>,
-}
-
-impl sf_netsim::TrafficModel for RemappedWorkload {
-    fn maybe_inject(&mut self, cycle: u64, source: NodeId) -> Option<sf_netsim::TrafficRequest> {
-        // Translate the physical source id to its dense index; silent when the
-        // source is not an active node.
-        let dense = NodeId::new(self.active.iter().position(|a| *a == source)?);
-        let request = self.inner.maybe_inject(cycle, dense)?;
-        Some(sf_netsim::TrafficRequest {
-            destination: self.active[request.destination.index()],
-            write: request.write,
-        })
-    }
-
-    fn is_exhausted(&self) -> bool {
-        self.inner.is_exhausted()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Bisection bandwidth and configuration tables
-// ---------------------------------------------------------------------------
-
-/// One row of the bisection-bandwidth study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BisectionRow {
-    /// Network design.
-    pub kind: TopologyKind,
-    /// Network size.
-    pub nodes: usize,
-    /// Empirical minimum bisection bandwidth (links across the cut).
-    pub minimum: u64,
-    /// Mean bisection bandwidth over the sampled cuts.
-    pub average: f64,
-}
-
-/// Reproduces the bisection-bandwidth methodology of Section V (50 random
-/// bisections, averaged over generated topologies).
-///
-/// # Errors
-///
-/// Propagates construction errors.
-pub fn bisection_study(
-    kinds: &[TopologyKind],
-    nodes: usize,
-    cuts: usize,
-    topologies: u64,
-) -> SfResult<Vec<BisectionRow>> {
-    bisection_study_with_ctx(&RunContext::new(), kinds, nodes, cuts, topologies)
-}
-
-/// [`bisection_study`] on an explicit worker pool.
-///
-/// # Errors
-///
-/// Propagates construction errors.
-pub fn bisection_study_with_pool(
-    pool: &PoolConfig,
-    kinds: &[TopologyKind],
-    nodes: usize,
-    cuts: usize,
-    topologies: u64,
-) -> SfResult<Vec<BisectionRow>> {
-    bisection_study_with_ctx(&pool_ctx(pool), kinds, nodes, cuts, topologies)
-}
-
-/// [`bisection_study`] inside an explicit [`RunContext`] — the single code
-/// path behind both wrappers (and the `bisection` study): one job per
-/// (design, generated topology), averaged per design afterwards in
-/// enumeration order.
-///
-/// # Errors
-///
-/// Propagates construction errors.
-pub fn bisection_study_with_ctx(
-    ctx: &RunContext,
-    kinds: &[TopologyKind],
-    nodes: usize,
-    cuts: usize,
-    topologies: u64,
-) -> SfResult<Vec<BisectionRow>> {
-    let seed_list: Vec<u64> = (0..topologies.max(1)).collect();
-    let samples = ctx.run_jobs(
-        cross2_lazy(kinds.to_vec(), seed_list.clone()),
-        |_, &(kind, seed)| {
-            let instance = ctx.instance(kind, nodes, seed + 1)?;
-            Ok(instance.bisection_bandwidth(cuts, seed + 100))
-        },
-    )?;
-
-    let denom = topologies.max(1);
-    let per_kind = seed_list.len();
-    let mut rows = Vec::with_capacity(kinds.len());
-    for (ki, &kind) in kinds.iter().enumerate() {
-        let mut min_sum = 0u64;
-        let mut avg_sum = 0.0;
-        for bb in &samples[ki * per_kind..(ki + 1) * per_kind] {
-            min_sum += bb.minimum;
-            avg_sum += bb.average;
-        }
-        rows.push(BisectionRow {
-            kind,
-            nodes,
-            minimum: min_sum / denom,
-            average: avg_sum / denom as f64,
-        });
-    }
-    Ok(rows)
-}
-
-/// One row of the Figure 8 / Table II configuration summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ConfigurationRow {
-    /// Network design.
-    pub kind: TopologyKind,
-    /// Network size.
-    pub nodes: usize,
-    /// Router ports required.
-    pub router_ports: usize,
-    /// Total links in the network.
-    pub links: usize,
-    /// Whether the design needs high-radix routers (Table II).
-    pub requires_high_radix: bool,
-    /// Whether the design supports reconfigurable scaling (Table II).
-    pub supports_reconfiguration: bool,
-}
-
-/// Reproduces the Figure 8 configuration table plus Table II's feature
-/// matrix for the given sizes.
-///
-/// # Errors
-///
-/// Propagates construction errors.
-pub fn configuration_table(
-    kinds: &[TopologyKind],
-    sizes: &[usize],
-    seed: u64,
-) -> SfResult<Vec<ConfigurationRow>> {
-    configuration_table_with_ctx(&RunContext::new(), kinds, sizes, seed)
-}
-
-/// [`configuration_table`] on an explicit worker pool.
-///
-/// # Errors
-///
-/// Propagates construction errors.
-pub fn configuration_table_with_pool(
-    pool: &PoolConfig,
-    kinds: &[TopologyKind],
-    sizes: &[usize],
-    seed: u64,
-) -> SfResult<Vec<ConfigurationRow>> {
-    configuration_table_with_ctx(&pool_ctx(pool), kinds, sizes, seed)
-}
-
-/// [`configuration_table`] inside an explicit [`RunContext`] — the single
-/// code path behind both wrappers (and the `fig08` study).
-///
-/// # Errors
-///
-/// Propagates construction errors.
-pub fn configuration_table_with_ctx(
-    ctx: &RunContext,
-    kinds: &[TopologyKind],
-    sizes: &[usize],
-    seed: u64,
-) -> SfResult<Vec<ConfigurationRow>> {
-    ctx.run_jobs(
-        cross2_lazy(sizes.to_vec(), kinds.to_vec()),
-        |_, &(nodes, kind)| {
-            let instance = ctx.instance(kind, nodes, seed)?;
-            Ok(ConfigurationRow {
-                kind,
-                nodes,
-                router_ports: instance.router_ports(),
-                links: instance.graph().num_edges(),
-                requires_high_radix: kind.requires_high_radix(),
-                supports_reconfiguration: kind.supports_reconfiguration(),
-            })
-        },
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Scenario: fault injection, adversarial traffic, scale-out
-// ---------------------------------------------------------------------------
-
-/// One row of the fault-resilience scenario study: one design under one
-/// fault severity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultResilienceRow {
-    /// Network design.
-    pub kind: TopologyKind,
-    /// Network size.
-    pub nodes: usize,
-    /// Undirected links taken down per fault wave.
-    pub links_per_wave: usize,
-    /// Routers power-gated per fault wave.
-    pub routers_per_wave: usize,
-    /// Link-down fault events the run applied.
-    pub link_down_events: u64,
-    /// Router power-gate fault events the run applied.
-    pub router_down_events: u64,
-    /// Memory requests injected during the measured phase.
-    pub injected: u64,
-    /// Requests whose reply made it back during the measured phase — the
-    /// end-to-end survivors.
-    pub completed_requests: u64,
-    /// Packets lost to fault injection over the whole run.
-    pub dropped_packets: u64,
-    /// Completed requests / injected requests (the survival metric of the
-    /// scenario; can slightly exceed 1 on a healthy network because warm-up
-    /// requests complete inside the measured window).
-    pub completion_ratio: f64,
-    /// Average request round-trip latency in cycles.
-    pub average_round_trip_cycles: f64,
-}
-
-impl FaultResilienceRow {
-    /// Total fault events (link-down plus router power-gate) the run applied.
-    #[must_use]
-    pub fn fault_events(&self) -> u64 {
-        self.link_down_events + self.router_down_events
-    }
-}
-
-/// Scenario study: how each design degrades (delivery ratio, drops, latency)
-/// under deterministic waves of link failures and router power-gate events,
-/// at increasing severity. Severity `(0, 0)` is the healthy baseline row,
-/// run without any fault plan — pinning the zero-cost-off contract.
-///
-/// # Errors
-///
-/// Propagates construction and simulation errors.
-pub fn fault_resilience_study(
-    kinds: &[TopologyKind],
-    nodes: usize,
-    severities: &[(usize, usize)],
-    injection_rate: f64,
-    scale: ExperimentScale,
-    seed: u64,
-) -> SfResult<Vec<FaultResilienceRow>> {
-    fault_resilience_study_with_ctx(
-        &RunContext::new(),
-        kinds,
-        nodes,
-        severities,
-        injection_rate,
-        scale,
-        seed,
-    )
-}
-
-/// [`fault_resilience_study`] inside an explicit [`RunContext`] — the single
-/// code path behind the `fault_resilience` study: one job per
-/// (design, severity) pair.
-///
-/// # Errors
-///
-/// Propagates construction and simulation errors.
-#[allow(clippy::too_many_arguments)]
-pub fn fault_resilience_study_with_ctx(
-    ctx: &RunContext,
-    kinds: &[TopologyKind],
-    nodes: usize,
-    severities: &[(usize, usize)],
-    injection_rate: f64,
-    scale: ExperimentScale,
-    seed: u64,
-) -> SfResult<Vec<FaultResilienceRow>> {
-    let measured = (scale.max_cycles - scale.warmup_cycles).max(1);
-    let points = cross2_lazy(kinds.to_vec(), severities.to_vec());
-    ctx.run_jobs(points, |_, &(kind, (links, routers))| {
-        let instance = ctx.instance(kind, nodes, seed)?;
-        let plan = (links > 0 || routers > 0).then(|| {
-            FaultPlan::new(seed ^ 0x00fa_0175)
-                .starting_at(scale.warmup_cycles)
-                .with_period((measured / 8).max(1))
-                .with_severity(links, routers)
-                .with_repair_cycles((measured / 16).max(1))
-        });
-        let config = scale.simulation_config().with_fault(plan);
-        let mut sim = instance
-            .make_simulator(SystemConfig::default(), config)?
-            .with_request_reply(true);
-        let mut traffic =
-            PatternTraffic::new(SyntheticPattern::UniformRandom, nodes, injection_rate, seed);
-        let stats = sim.run(&mut traffic)?;
-        Ok(FaultResilienceRow {
-            kind,
-            nodes,
-            links_per_wave: links,
-            routers_per_wave: routers,
-            link_down_events: stats.link_down_events,
-            router_down_events: stats.router_down_events,
-            injected: stats.injected,
-            completed_requests: stats.completed_requests,
-            dropped_packets: stats.dropped_packets,
-            completion_ratio: stats.completed_requests as f64 / stats.injected.max(1) as f64,
-            average_round_trip_cycles: stats.average_round_trip_cycles(),
-        })
-    })
-}
-
-/// Scenario study: the Figure 10 saturation methodology driven by the three
-/// adversarial traffic patterns ([`SyntheticPattern::ADVERSARIAL`]) instead
-/// of the paper's well-behaved Table III patterns.
-///
-/// # Errors
-///
-/// Propagates construction and simulation errors.
-pub fn adversarial_saturation_study(
-    kinds: &[TopologyKind],
-    nodes: usize,
-    rates: &[f64],
-    scale: ExperimentScale,
-    seed: u64,
-) -> SfResult<Vec<SaturationRow>> {
-    adversarial_saturation_study_with_ctx(&RunContext::new(), kinds, nodes, rates, scale, seed)
-}
-
-/// [`adversarial_saturation_study`] inside an explicit [`RunContext`] — the
-/// single code path behind the `adversarial_saturation` study.
-///
-/// # Errors
-///
-/// Propagates construction and simulation errors.
-pub fn adversarial_saturation_study_with_ctx(
-    ctx: &RunContext,
-    kinds: &[TopologyKind],
-    nodes: usize,
-    rates: &[f64],
-    scale: ExperimentScale,
-    seed: u64,
-) -> SfResult<Vec<SaturationRow>> {
-    let mut rows = Vec::with_capacity(SyntheticPattern::ADVERSARIAL.len() * kinds.len());
-    for pattern in SyntheticPattern::ADVERSARIAL {
-        rows.extend(saturation_study_with_ctx(
-            ctx, kinds, nodes, pattern, rates, scale, seed,
-        )?);
-    }
-    Ok(rows)
-}
-
-/// Scenario study: the Figure 9(a) hop-count methodology pushed beyond the
-/// paper's 1296-node maximum, for the designs whose radix does not grow with
-/// scale.
-///
-/// # Errors
-///
-/// Propagates topology construction and routing errors.
-pub fn scaleout_study(
-    kinds: &[TopologyKind],
-    sizes: &[usize],
-    samples: usize,
-    seed: u64,
-) -> SfResult<Vec<HopCountRow>> {
-    scaleout_study_with_ctx(&RunContext::new(), kinds, sizes, samples, seed)
-}
-
-/// [`scaleout_study`] inside an explicit [`RunContext`] — the single code
-/// path behind the `scaleout_2048` study.
-///
-/// # Errors
-///
-/// Propagates topology construction and routing errors.
-pub fn scaleout_study_with_ctx(
-    ctx: &RunContext,
-    kinds: &[TopologyKind],
-    sizes: &[usize],
-    samples: usize,
-    seed: u64,
-) -> SfResult<Vec<HopCountRow>> {
-    hop_count_study_with_ctx(ctx, kinds, sizes, samples, seed)
-}
-
-/// One point of the streaming mega-sweep: one design at one size, driven at
-/// one injection rate with one topology seed, at a quick-capped simulation
-/// scale. These rows are never collected — they stream straight from the
-/// sweep to the artifact sinks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MegasweepRow {
-    /// Network design.
-    pub kind: TopologyKind,
-    /// Network size.
-    pub nodes: usize,
-    /// Injection rate (packets per node per cycle).
-    pub injection_rate: f64,
-    /// Topology seed of this point.
-    pub seed: u64,
-    /// Average packet latency in cycles.
-    pub average_latency_cycles: f64,
-    /// Accepted throughput (delivered packets per node per cycle).
-    pub accepted_throughput: f64,
-    /// Whether the run saturated.
-    pub saturated: bool,
-}
-
-/// Per-design aggregate of a mega-sweep — the only thing the streaming run
-/// holds in memory (one slot per design, not per point).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MegasweepSummaryRow {
-    /// Network design.
-    pub kind: TopologyKind,
-    /// Points swept for this design.
-    pub points: u64,
-    /// Points whose run saturated.
-    pub saturated_points: u64,
-    /// Mean average latency over the design's points, in cycles.
-    pub mean_latency_cycles: f64,
-    /// Mean accepted throughput over the design's points.
-    pub mean_throughput: f64,
-}
-
-/// Scenario study: the streaming mega-sweep over design × size × injection
-/// rate × topology seed. Unlike every other study, the full-scale grid
-/// (~10⁵ points) is never materialised and the rows are never collected:
-/// points stream in through the lazy cross product, each completed row is
-/// journalled and written to the context's emitters in enumeration order,
-/// and only the per-design [`MegasweepSummaryRow`] aggregate comes back —
-/// the whole pipeline runs in `O(workers)` memory.
-///
-/// # Errors
-///
-/// Propagates construction, simulation, and artifact-sink errors.
-pub fn megasweep_study(
-    kinds: &[TopologyKind],
-    sizes: &[usize],
-    rates: &[f64],
-    seeds: u64,
-    scale: ExperimentScale,
-) -> SfResult<Vec<MegasweepSummaryRow>> {
-    megasweep_study_with_ctx(&RunContext::new(), kinds, sizes, rates, seeds, scale)
-}
-
-/// [`megasweep_study`] inside an explicit [`RunContext`] — the single code
-/// path behind the `megasweep` study, and the only driver that **requires**
-/// the streaming pipeline: it refuses to exist as a collect-then-emit loop.
-///
-/// # Errors
-///
-/// Propagates construction, simulation, and artifact-sink errors.
-pub fn megasweep_study_with_ctx(
-    ctx: &RunContext,
-    kinds: &[TopologyKind],
-    sizes: &[usize],
-    rates: &[f64],
-    seeds: u64,
-    scale: ExperimentScale,
-) -> SfResult<Vec<MegasweepSummaryRow>> {
-    let mut stream = ctx.open_row_stream(&MegasweepRow::columns())?;
-    let seed_list: Vec<u64> = (0..seeds.max(1)).collect();
-    // Row-major over (kind, nodes) × (rate, seed): the outer product is tiny
-    // and the inner product is one design-point's rate ladder, so the
-    // composition streams the 4-axis grid with O(rates × seeds) transient
-    // state — never O(grid).
-    let points = cross2_lazy(cross2(kinds, sizes), cross2(rates, &seed_list));
-    let mut aggregates = vec![(0u64, 0u64, 0.0f64, 0.0f64); kinds.len()];
-    ctx.run_jobs_streaming(
-        points,
-        |_, &((kind, nodes), (rate, seed))| {
-            let instance = ctx.instance(kind, nodes, seed + 1)?;
-            let stats = run_pattern_on(
-                &instance,
-                SyntheticPattern::UniformRandom,
-                rate,
-                scale,
-                seed,
-            )?;
-            let measured = (scale.max_cycles - scale.warmup_cycles).max(1);
-            Ok(MegasweepRow {
-                kind,
-                nodes,
-                injection_rate: rate,
-                seed,
-                average_latency_cycles: stats.average_latency_cycles(),
-                accepted_throughput: stats.accepted_throughput(measured),
-                saturated: stats.is_saturated(),
-            })
-        },
-        |_, row| {
-            let slot = kinds.iter().position(|k| *k == row.kind).unwrap_or(0);
-            let (points, saturated, latency, throughput) = &mut aggregates[slot];
-            *points += 1;
-            *saturated += u64::from(row.saturated);
-            *latency += row.average_latency_cycles;
-            *throughput += row.accepted_throughput;
-            stream.push(&row.values())
-        },
-    )?;
-    stream.finish()?;
-    Ok(kinds
-        .iter()
-        .zip(aggregates)
-        .map(
-            |(&kind, (points, saturated, latency, throughput))| MegasweepSummaryRow {
-                kind,
-                points,
-                saturated_points: saturated,
-                mean_latency_cycles: latency / points.max(1) as f64,
-                mean_throughput: throughput / points.max(1) as f64,
-            },
-        )
-        .collect())
-}
-
 /// Average-path-length summary of a partially gated String Figure network,
 /// used by the reconfiguration examples and tests.
 ///
@@ -1359,245 +158,26 @@ pub fn gated_path_length(
     Ok(network.path_stats())
 }
 
-// ---------------------------------------------------------------------------
-// Machine-readable artifacts: every row type is an sf-harness Record
-// ---------------------------------------------------------------------------
-
-impl Record for SurgRow {
-    fn columns() -> Vec<&'static str> {
-        vec!["nodes", "jellyfish", "s2", "string_figure"]
-    }
-    fn values(&self) -> Vec<Value> {
-        vec![
-            self.nodes.into(),
-            self.jellyfish.into(),
-            self.s2.into(),
-            self.string_figure.into(),
-        ]
-    }
-}
-
-impl Record for HopCountRow {
-    fn columns() -> Vec<&'static str> {
-        vec![
-            "kind",
-            "nodes",
-            "average_shortest_path",
-            "average_routed_hops",
-            "router_ports",
-        ]
-    }
-    fn values(&self) -> Vec<Value> {
-        vec![
-            self.kind.name().into(),
-            self.nodes.into(),
-            self.average_shortest_path.into(),
-            self.average_routed_hops.into(),
-            self.router_ports.into(),
-        ]
-    }
-}
-
-impl Record for SaturationRow {
-    fn columns() -> Vec<&'static str> {
-        vec!["kind", "nodes", "pattern", "saturation_percent"]
-    }
-    fn values(&self) -> Vec<Value> {
-        vec![
-            self.kind.name().into(),
-            self.nodes.into(),
-            self.pattern.to_string().into(),
-            self.saturation_percent.into(),
-        ]
-    }
-}
-
-impl Record for LatencyPoint {
-    fn columns() -> Vec<&'static str> {
-        vec![
-            "injection_rate",
-            "average_latency_cycles",
-            "accepted_throughput",
-            "saturated",
-        ]
-    }
-    fn values(&self) -> Vec<Value> {
-        vec![
-            self.injection_rate.into(),
-            self.average_latency_cycles.into(),
-            self.accepted_throughput.into(),
-            self.saturated.into(),
-        ]
-    }
-}
-
-impl Record for WorkloadRow {
-    fn columns() -> Vec<&'static str> {
-        vec![
-            "kind",
-            "workload",
-            "requests_per_cycle",
-            "average_round_trip_cycles",
-            "energy_per_request_pj",
-            "total_energy_pj",
-        ]
-    }
-    fn values(&self) -> Vec<Value> {
-        vec![
-            self.kind.name().into(),
-            self.workload.name().into(),
-            self.requests_per_cycle.into(),
-            self.average_round_trip_cycles.into(),
-            self.energy_per_request_pj.into(),
-            self.total_energy_pj.into(),
-        ]
-    }
-}
-
-impl Record for PowerGateRow {
-    fn columns() -> Vec<&'static str> {
-        vec![
-            "gated_fraction",
-            "gated_nodes",
-            "energy_delay_product",
-            "normalized_edp",
-            "average_round_trip_cycles",
-        ]
-    }
-    fn values(&self) -> Vec<Value> {
-        vec![
-            self.gated_fraction.into(),
-            self.gated_nodes.into(),
-            self.energy_delay_product.into(),
-            self.normalized_edp.into(),
-            self.average_round_trip_cycles.into(),
-        ]
-    }
-}
-
-impl Record for BisectionRow {
-    fn columns() -> Vec<&'static str> {
-        vec!["kind", "nodes", "minimum", "average"]
-    }
-    fn values(&self) -> Vec<Value> {
-        vec![
-            self.kind.name().into(),
-            self.nodes.into(),
-            self.minimum.into(),
-            self.average.into(),
-        ]
-    }
-}
-
-impl Record for FaultResilienceRow {
-    fn columns() -> Vec<&'static str> {
-        vec![
-            "kind",
-            "nodes",
-            "links_per_wave",
-            "routers_per_wave",
-            "link_down_events",
-            "router_down_events",
-            "injected",
-            "completed_requests",
-            "dropped_packets",
-            "completion_ratio",
-            "average_round_trip_cycles",
-        ]
-    }
-    fn values(&self) -> Vec<Value> {
-        vec![
-            self.kind.name().into(),
-            self.nodes.into(),
-            self.links_per_wave.into(),
-            self.routers_per_wave.into(),
-            self.link_down_events.into(),
-            self.router_down_events.into(),
-            self.injected.into(),
-            self.completed_requests.into(),
-            self.dropped_packets.into(),
-            self.completion_ratio.into(),
-            self.average_round_trip_cycles.into(),
-        ]
-    }
-}
-
-impl Record for MegasweepRow {
-    fn columns() -> Vec<&'static str> {
-        vec![
-            "kind",
-            "nodes",
-            "injection_rate",
-            "seed",
-            "average_latency_cycles",
-            "accepted_throughput",
-            "saturated",
-        ]
-    }
-    fn values(&self) -> Vec<Value> {
-        vec![
-            self.kind.name().into(),
-            self.nodes.into(),
-            self.injection_rate.into(),
-            self.seed.into(),
-            self.average_latency_cycles.into(),
-            self.accepted_throughput.into(),
-            self.saturated.into(),
-        ]
-    }
-}
-
-impl Record for MegasweepSummaryRow {
-    fn columns() -> Vec<&'static str> {
-        vec![
-            "kind",
-            "points",
-            "saturated_points",
-            "mean_latency_cycles",
-            "mean_throughput",
-        ]
-    }
-    fn values(&self) -> Vec<Value> {
-        vec![
-            self.kind.name().into(),
-            self.points.into(),
-            self.saturated_points.into(),
-            self.mean_latency_cycles.into(),
-            self.mean_throughput.into(),
-        ]
-    }
-}
-
-impl Record for ConfigurationRow {
-    fn columns() -> Vec<&'static str> {
-        vec![
-            "kind",
-            "nodes",
-            "router_ports",
-            "links",
-            "requires_high_radix",
-            "supports_reconfiguration",
-        ]
-    }
-    fn values(&self) -> Vec<Value> {
-        vec![
-            self.kind.name().into(),
-            self.nodes.into(),
-            self.router_ports.into(),
-            self.links.into(),
-            self.requires_high_radix.into(),
-            self.supports_reconfiguration.into(),
-        ]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comparison::TopologyKind;
+    use crate::study::bisection::bisection_study;
+    use crate::study::fault_resilience::fault_resilience_study;
+    use crate::study::fig05::surg_path_length_study;
+    use crate::study::fig08::configuration_table;
+    use crate::study::fig09a::hop_count_study;
+    use crate::study::fig09b::power_gating_study;
+    use crate::study::fig10::{adversarial_saturation_study, saturation_study};
+    use crate::study::fig11::latency_curve;
+    use crate::study::fig12::workload_study;
+    use crate::RunContext;
+    use sf_harness::pool::PoolConfig;
+    use std::sync::Arc;
 
     #[test]
     fn surg_rows_show_flat_scaling() {
-        let rows = surg_path_length_study(&[64, 200], 2).unwrap();
+        let rows = surg_path_length_study(&RunContext::new(), &[64, 200], 2).unwrap();
         assert_eq!(rows.len(), 2);
         for row in &rows {
             assert!(row.string_figure < 6.0);
@@ -1611,6 +191,7 @@ mod tests {
     #[test]
     fn hop_count_study_orders_designs() {
         let rows = hop_count_study(
+            &RunContext::new(),
             &[TopologyKind::DistributedMesh, TopologyKind::StringFigure],
             &[144],
             200,
@@ -1634,6 +215,7 @@ mod tests {
     fn saturation_study_runs_and_mesh_saturates_first() {
         let rates = [0.02, 0.10, 0.30, 0.60];
         let rows = saturation_study(
+            &RunContext::new(),
             &[TopologyKind::DistributedMesh, TopologyKind::StringFigure],
             36,
             SyntheticPattern::UniformRandom,
@@ -1655,6 +237,7 @@ mod tests {
     #[test]
     fn latency_curve_is_monotonic_until_saturation() {
         let points = latency_curve(
+            &RunContext::new(),
             TopologyKind::StringFigure,
             32,
             SyntheticPattern::UniformRandom,
@@ -1671,6 +254,7 @@ mod tests {
     #[test]
     fn workload_study_produces_rows_for_each_pair() {
         let rows = workload_study(
+            &RunContext::new(),
             &[TopologyKind::DistributedMesh, TopologyKind::StringFigure],
             &[ApplicationModel::Memcached],
             32,
@@ -1690,6 +274,7 @@ mod tests {
     #[test]
     fn power_gating_study_produces_normalized_rows() {
         let rows = power_gating_study(
+            &RunContext::new(),
             48,
             &[0.0, 0.25],
             ApplicationModel::SparkGrep,
@@ -1708,6 +293,7 @@ mod tests {
     #[test]
     fn bisection_and_configuration_tables() {
         let bisection = bisection_study(
+            &RunContext::new(),
             &[TopologyKind::DistributedMesh, TopologyKind::StringFigure],
             36,
             5,
@@ -1723,7 +309,7 @@ mod tests {
             mesh.minimum
         );
 
-        let config = configuration_table(&TopologyKind::ALL, &[64], 1).unwrap();
+        let config = configuration_table(&RunContext::new(), &TopologyKind::ALL, &[64], 1).unwrap();
         assert_eq!(config.len(), 6);
         let fb = config
             .iter()
@@ -1741,6 +327,7 @@ mod tests {
     #[test]
     fn fault_resilience_study_degrades_with_severity() {
         let rows = fault_resilience_study(
+            &RunContext::new(),
             &[TopologyKind::StringFigure],
             36,
             &[(0, 0), (3, 2)],
@@ -1768,6 +355,7 @@ mod tests {
     #[test]
     fn adversarial_saturation_covers_every_adversarial_pattern() {
         let rows = adversarial_saturation_study(
+            &RunContext::new(),
             &[TopologyKind::StringFigure],
             36,
             &[0.05, 0.30],
@@ -1783,7 +371,8 @@ mod tests {
 
     #[test]
     fn scaleout_study_reaches_beyond_small_scales() {
-        let rows = scaleout_study(
+        let rows = hop_count_study(
+            &RunContext::new(),
             &[TopologyKind::SpaceShuffle, TopologyKind::StringFigure],
             &[64, 128],
             50,
@@ -1829,146 +418,72 @@ mod tests {
             .is_ok());
     }
 
+    /// Runs `study` on one worker and on many and checks the rows match.
+    fn assert_worker_count_invariant<T: PartialEq + std::fmt::Debug>(
+        study: impl Fn(&RunContext) -> SfResult<T>,
+    ) {
+        let serial = RunContext::new().with_pool(PoolConfig::serial());
+        let parallel = RunContext::new().with_pool(PoolConfig::threads(4).with_chunk(2));
+        assert_eq!(study(&serial).unwrap(), study(&parallel).unwrap());
+    }
+
     /// The acceptance criterion of the harness refactor: running a study on
     /// one worker and on many workers yields byte-for-byte identical rows.
     #[test]
     fn studies_are_bit_identical_serial_vs_parallel() {
-        let serial = PoolConfig::serial();
-        let parallel = PoolConfig::threads(4).with_chunk(2);
-
-        let surg_a = surg_path_length_study_with_pool(&serial, &[64, 100], 3).unwrap();
-        let surg_b = surg_path_length_study_with_pool(&parallel, &[64, 100], 3).unwrap();
-        assert_eq!(surg_a, surg_b);
-
-        let hops_a = hop_count_study_with_pool(
-            &serial,
-            &[TopologyKind::DistributedMesh, TopologyKind::StringFigure],
-            &[64, 100],
-            50,
-            1,
-        )
-        .unwrap();
-        let hops_b = hop_count_study_with_pool(
-            &parallel,
-            &[TopologyKind::DistributedMesh, TopologyKind::StringFigure],
-            &[64, 100],
-            50,
-            1,
-        )
-        .unwrap();
-        assert_eq!(hops_a, hops_b);
-
-        let curve_a = latency_curve_with_pool(
-            &serial,
-            TopologyKind::StringFigure,
-            32,
-            SyntheticPattern::UniformRandom,
-            &[0.02, 0.1, 0.2],
-            ExperimentScale::quick(),
-            5,
-        )
-        .unwrap();
-        let curve_b = latency_curve_with_pool(
-            &parallel,
-            TopologyKind::StringFigure,
-            32,
-            SyntheticPattern::UniformRandom,
-            &[0.02, 0.1, 0.2],
-            ExperimentScale::quick(),
-            5,
-        )
-        .unwrap();
-        assert_eq!(curve_a, curve_b);
-
-        let gate_a = power_gating_study_with_pool(
-            &serial,
-            48,
-            &[0.0, 0.25],
-            ApplicationModel::SparkGrep,
-            4,
-            ExperimentScale::quick(),
-            9,
-        )
-        .unwrap();
-        let gate_b = power_gating_study_with_pool(
-            &parallel,
-            48,
-            &[0.0, 0.25],
-            ApplicationModel::SparkGrep,
-            4,
-            ExperimentScale::quick(),
-            9,
-        )
-        .unwrap();
-        assert_eq!(gate_a, gate_b);
-
-        let sat_a = saturation_study_with_pool(
-            &serial,
-            &[TopologyKind::DistributedMesh, TopologyKind::StringFigure],
-            36,
-            SyntheticPattern::UniformRandom,
-            &[0.02, 0.10, 0.30],
-            ExperimentScale::quick(),
-            3,
-        )
-        .unwrap();
-        let sat_b = saturation_study_with_pool(
-            &parallel,
-            &[TopologyKind::DistributedMesh, TopologyKind::StringFigure],
-            36,
-            SyntheticPattern::UniformRandom,
-            &[0.02, 0.10, 0.30],
-            ExperimentScale::quick(),
-            3,
-        )
-        .unwrap();
-        assert_eq!(sat_a, sat_b);
-
-        let work_a = workload_study_with_pool(
-            &serial,
-            &[TopologyKind::StringFigure],
-            &[ApplicationModel::Memcached],
-            32,
-            4,
-            ExperimentScale::quick(),
-            7,
-        )
-        .unwrap();
-        let work_b = workload_study_with_pool(
-            &parallel,
-            &[TopologyKind::StringFigure],
-            &[ApplicationModel::Memcached],
-            32,
-            4,
-            ExperimentScale::quick(),
-            7,
-        )
-        .unwrap();
-        assert_eq!(work_a, work_b);
-
-        let bisect_a = bisection_study_with_pool(
-            &serial,
-            &[TopologyKind::DistributedMesh, TopologyKind::StringFigure],
-            36,
-            5,
-            2,
-        )
-        .unwrap();
-        let bisect_b = bisection_study_with_pool(
-            &parallel,
-            &[TopologyKind::DistributedMesh, TopologyKind::StringFigure],
-            36,
-            5,
-            2,
-        )
-        .unwrap();
-        assert_eq!(bisect_a, bisect_b);
+        let pair = [TopologyKind::DistributedMesh, TopologyKind::StringFigure];
+        let quick = ExperimentScale::quick();
+        assert_worker_count_invariant(|ctx| surg_path_length_study(ctx, &[64, 100], 3));
+        assert_worker_count_invariant(|ctx| hop_count_study(ctx, &pair, &[64, 100], 50, 1));
+        assert_worker_count_invariant(|ctx| {
+            latency_curve(
+                ctx,
+                TopologyKind::StringFigure,
+                32,
+                SyntheticPattern::UniformRandom,
+                &[0.02, 0.1, 0.2],
+                quick,
+                5,
+            )
+        });
+        assert_worker_count_invariant(|ctx| {
+            power_gating_study(
+                ctx,
+                48,
+                &[0.0, 0.25],
+                ApplicationModel::SparkGrep,
+                4,
+                quick,
+                9,
+            )
+        });
+        assert_worker_count_invariant(|ctx| {
+            saturation_study(
+                ctx,
+                &pair,
+                36,
+                SyntheticPattern::UniformRandom,
+                &[0.02, 0.10, 0.30],
+                quick,
+                3,
+            )
+        });
+        assert_worker_count_invariant(|ctx| {
+            let sf = [TopologyKind::StringFigure];
+            workload_study(ctx, &sf, &[ApplicationModel::Memcached], 32, 4, quick, 7)
+        });
+        assert_worker_count_invariant(|ctx| bisection_study(ctx, &pair, 36, 5, 2));
     }
 
     #[test]
-    fn cached_instances_are_shared_and_consistent() {
-        let first = cached_instance(TopologyKind::StringFigure, 40, 11).unwrap();
-        let second = cached_instance(TopologyKind::StringFigure, 40, 11).unwrap();
+    fn context_instances_are_shared_and_consistent() {
+        // Contexts share the process-wide topology cache by default.
+        let first = RunContext::new()
+            .instance(TopologyKind::StringFigure, 40, 11)
+            .unwrap();
+        let second = RunContext::new()
+            .instance(TopologyKind::StringFigure, 40, 11)
+            .unwrap();
         assert!(Arc::ptr_eq(&first, &second));
         let fresh = NetworkInstance::build(TopologyKind::StringFigure, 40, 11).unwrap();
         assert_eq!(first.graph().edges(), fresh.graph().edges());
@@ -1976,7 +491,8 @@ mod tests {
 
     #[test]
     fn rows_serialise_through_the_harness_table() {
-        let rows = configuration_table(&[TopologyKind::StringFigure], &[64], 1).unwrap();
+        let rows = configuration_table(&RunContext::new(), &[TopologyKind::StringFigure], &[64], 1)
+            .unwrap();
         let table = sf_harness::Table::from_records(&rows);
         assert_eq!(table.columns[0], "kind");
         let csv = table.to_csv();

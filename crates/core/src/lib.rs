@@ -20,12 +20,15 @@
 //! * [`TopologyKind`] / [`NetworkInstance`] — uniform access to every
 //!   baseline design the paper compares against (DM, ODM, FB, AFB, S2-ideal,
 //!   Jellyfish).
-//! * [`experiments`] — drivers that regenerate each table and figure of the
-//!   paper's evaluation.
 //! * [`study`] — the unified experiment API: the [`Study`] trait, the
 //!   builder-style [`RunContext`] (pool, cache, scale, emitters,
-//!   checkpoint/resume), and the [`StudyRegistry`] of all eight paper
-//!   artefacts that the `sfbench` CLI multiplexes over.
+//!   checkpoint/resume), and the [`StudyRegistry`] of the eight paper
+//!   artefacts and four scenario studies that the `sfbench` CLI
+//!   multiplexes over. Each study's row type, driver and [`Study`] impl
+//!   share one module, e.g. [`study::fig10`].
+//! * [`experiments`] — the helpers the study drivers share: the
+//!   [`ExperimentScale`](experiments::ExperimentScale) policy and the
+//!   single-simulation building blocks.
 //!
 //! ## Quick start
 //!

@@ -1,5 +1,5 @@
 //! The unified experiment API: [`Study`] trait, [`RunContext`], and the
-//! [`StudyRegistry`] of all eight paper artefacts.
+//! [`StudyRegistry`] of the eight paper artefacts and four scenario studies.
 //!
 //! Every evaluation artefact of the paper (Figures 5, 8, 9a, 9b, 10, 11, 12
 //! and the Section V bisection methodology) is a [`Study`]: a named,
@@ -20,20 +20,32 @@
 //!
 //! Beyond the paper, [`StudyRegistry::extended`] groups the scenario
 //! studies (fault injection, adversarial traffic, scale-out past 1296
-//! nodes) that the same trait machinery makes additive; the `sfbench` CLI
-//! in `sf-bench` is a thin multiplexer over [`StudyRegistry::all`] (paper
-//! plus extended), and the old per-figure binary names resolve as registry
-//! aliases.
+//! nodes, the streaming mega-sweep) that the same trait machinery makes
+//! additive; the `sfbench` CLI in `sf-bench` is a thin multiplexer over
+//! [`StudyRegistry::all`] (paper plus extended), and the old per-figure
+//! binary names resolve as registry aliases.
+//!
+//! Each study lives in one module below: its row type with the row's
+//! [`Record`] columns and journal codec, its single driver taking the
+//! [`RunContext`] first, and its [`Study`] impl.
+//!
+//! | study | module | artefact |
+//! |-------|--------|----------|
+//! | `fig05` | [`fig05`] | Figure 5 |
+//! | `fig08` | [`fig08`] | Figure 8 / Table II |
+//! | `fig09a` | [`fig09a`] | Figure 9(a) |
+//! | `fig09b` | [`fig09b`] | Figure 9(b) |
+//! | `fig10` | [`fig10`] | Figure 10 |
+//! | `fig11` | [`fig11`] | Figure 11 |
+//! | `fig12` | [`fig12`] | Figure 12 |
+//! | `bisection` | [`bisection`] | Section V bisection methodology |
+//! | `fault_resilience` | [`fault_resilience`] | Scenario: fault injection |
+//! | `adversarial_saturation` | [`fig10`] | Scenario: adversarial traffic |
+//! | `scaleout_2048` | [`fig09a`] | Scenario: scale-out beyond 1296 nodes |
+//! | `megasweep` | [`megasweep`] | Scenario: streaming mega-sweep |
 
 use crate::comparison::{NetworkInstance, TopologyKind};
-use crate::experiments::{
-    self, adversarial_saturation_study_with_ctx, bisection_study_with_ctx,
-    configuration_table_with_ctx, fault_resilience_study_with_ctx, hop_count_study_with_ctx,
-    latency_curve_with_ctx, megasweep_study_with_ctx, power_gating_study_with_ctx,
-    saturation_study_with_ctx, scaleout_study_with_ctx, surg_path_length_study_with_ctx,
-    workload_study_with_ctx, ExperimentScale, FaultResilienceRow, HopCountRow, LatencyPoint,
-    MegasweepRow, PowerGateRow, SaturationRow, WorkloadRow,
-};
+use crate::experiments::ExperimentScale;
 use sf_harness::fabric::{self, Partition, ShardFormat, ShardMeta};
 use sf_harness::journal::{self, Journal};
 use sf_harness::pool::PoolConfig;
@@ -41,12 +53,21 @@ use sf_harness::sink::RowSink;
 use sf_harness::sweep::{JobCtx, LazySweep, SweepError};
 use sf_harness::table::{Record, Table, Value};
 use sf_harness::BuildCache;
-use sf_topology::analysis::BisectionBandwidth;
 use sf_types::{SfError, SfResult};
-use sf_workloads::{ApplicationModel, SyntheticPattern};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+
+pub mod bisection;
+pub mod fault_resilience;
+pub mod fig05;
+pub mod fig08;
+pub mod fig09a;
+pub mod fig09b;
+pub mod fig10;
+pub mod fig11;
+pub mod fig12;
+pub mod megasweep;
 
 // ---------------------------------------------------------------------------
 // Checkpointable job results
@@ -62,6 +83,23 @@ pub trait CheckpointRow: Sized {
     fn to_cells(&self) -> Vec<Value>;
     /// Decodes a result previously encoded with [`to_cells`](Self::to_cells).
     fn from_cells(cells: &[Value]) -> Option<Self>;
+}
+
+/// A [`Record`] row journalled as its own [`Record::values`]: the journal
+/// codec and the CSV columns are one encoding, so they cannot drift apart.
+/// Every such row is a [`CheckpointRow`].
+pub trait RecordRow: Record + Sized {
+    /// Decodes a row from the cells its [`Record::values`] produced.
+    fn from_values(cells: &[Value]) -> Option<Self>;
+}
+
+impl<R: RecordRow> CheckpointRow for R {
+    fn to_cells(&self) -> Vec<Value> {
+        self.values()
+    }
+    fn from_cells(cells: &[Value]) -> Option<Self> {
+        R::from_values(cells)
+    }
 }
 
 fn cell_f64(cell: &Value) -> Option<f64> {
@@ -116,180 +154,6 @@ impl CheckpointRow for f64 {
     }
 }
 
-impl CheckpointRow for HopCountRow {
-    fn to_cells(&self) -> Vec<Value> {
-        self.values()
-    }
-    fn from_cells(cells: &[Value]) -> Option<Self> {
-        let [kind, nodes, asp, hops, ports] = cells else {
-            return None;
-        };
-        Some(Self {
-            kind: TopologyKind::from_name(cell_str(kind)?)?,
-            nodes: cell_usize(nodes)?,
-            average_shortest_path: cell_f64(asp)?,
-            average_routed_hops: cell_f64(hops)?,
-            router_ports: cell_usize(ports)?,
-        })
-    }
-}
-
-impl CheckpointRow for SaturationRow {
-    fn to_cells(&self) -> Vec<Value> {
-        self.values()
-    }
-    fn from_cells(cells: &[Value]) -> Option<Self> {
-        let [kind, nodes, pattern, point] = cells else {
-            return None;
-        };
-        Some(Self {
-            kind: TopologyKind::from_name(cell_str(kind)?)?,
-            nodes: cell_usize(nodes)?,
-            pattern: SyntheticPattern::from_name(cell_str(pattern)?)?,
-            saturation_percent: cell_opt_f64(point)?,
-        })
-    }
-}
-
-impl CheckpointRow for LatencyPoint {
-    fn to_cells(&self) -> Vec<Value> {
-        self.values()
-    }
-    fn from_cells(cells: &[Value]) -> Option<Self> {
-        let [rate, latency, throughput, saturated] = cells else {
-            return None;
-        };
-        Some(Self {
-            injection_rate: cell_f64(rate)?,
-            average_latency_cycles: cell_f64(latency)?,
-            accepted_throughput: cell_f64(throughput)?,
-            saturated: cell_bool(saturated)?,
-        })
-    }
-}
-
-impl CheckpointRow for WorkloadRow {
-    fn to_cells(&self) -> Vec<Value> {
-        self.values()
-    }
-    fn from_cells(cells: &[Value]) -> Option<Self> {
-        let [kind, workload, rpc, rtt, epr, total] = cells else {
-            return None;
-        };
-        Some(Self {
-            kind: TopologyKind::from_name(cell_str(kind)?)?,
-            workload: ApplicationModel::from_name(cell_str(workload)?)?,
-            requests_per_cycle: cell_f64(rpc)?,
-            average_round_trip_cycles: cell_f64(rtt)?,
-            energy_per_request_pj: cell_f64(epr)?,
-            total_energy_pj: cell_f64(total)?,
-        })
-    }
-}
-
-impl CheckpointRow for PowerGateRow {
-    fn to_cells(&self) -> Vec<Value> {
-        self.values()
-    }
-    fn from_cells(cells: &[Value]) -> Option<Self> {
-        let [fraction, gated, edp, norm, rtt] = cells else {
-            return None;
-        };
-        Some(Self {
-            gated_fraction: cell_f64(fraction)?,
-            gated_nodes: cell_usize(gated)?,
-            energy_delay_product: cell_f64(edp)?,
-            normalized_edp: cell_f64(norm)?,
-            average_round_trip_cycles: cell_f64(rtt)?,
-        })
-    }
-}
-
-impl CheckpointRow for BisectionBandwidth {
-    fn to_cells(&self) -> Vec<Value> {
-        vec![
-            self.minimum.into(),
-            self.average.into(),
-            self.samples.into(),
-        ]
-    }
-    fn from_cells(cells: &[Value]) -> Option<Self> {
-        let [minimum, average, samples] = cells else {
-            return None;
-        };
-        Some(Self {
-            minimum: cell_u64(minimum)?,
-            average: cell_f64(average)?,
-            samples: cell_usize(samples)?,
-        })
-    }
-}
-
-impl CheckpointRow for FaultResilienceRow {
-    fn to_cells(&self) -> Vec<Value> {
-        self.values()
-    }
-    fn from_cells(cells: &[Value]) -> Option<Self> {
-        let [kind, nodes, links, routers, link_ev, router_ev, injected, completed, dropped, ratio, rtt] =
-            cells
-        else {
-            return None;
-        };
-        Some(Self {
-            kind: TopologyKind::from_name(cell_str(kind)?)?,
-            nodes: cell_usize(nodes)?,
-            links_per_wave: cell_usize(links)?,
-            routers_per_wave: cell_usize(routers)?,
-            link_down_events: cell_u64(link_ev)?,
-            router_down_events: cell_u64(router_ev)?,
-            injected: cell_u64(injected)?,
-            completed_requests: cell_u64(completed)?,
-            dropped_packets: cell_u64(dropped)?,
-            completion_ratio: cell_f64(ratio)?,
-            average_round_trip_cycles: cell_f64(rtt)?,
-        })
-    }
-}
-
-impl CheckpointRow for MegasweepRow {
-    fn to_cells(&self) -> Vec<Value> {
-        self.values()
-    }
-    fn from_cells(cells: &[Value]) -> Option<Self> {
-        let [kind, nodes, rate, seed, latency, throughput, saturated] = cells else {
-            return None;
-        };
-        Some(Self {
-            kind: TopologyKind::from_name(cell_str(kind)?)?,
-            nodes: cell_usize(nodes)?,
-            injection_rate: cell_f64(rate)?,
-            seed: cell_u64(seed)?,
-            average_latency_cycles: cell_f64(latency)?,
-            accepted_throughput: cell_f64(throughput)?,
-            saturated: cell_bool(saturated)?,
-        })
-    }
-}
-
-impl CheckpointRow for crate::experiments::ConfigurationRow {
-    fn to_cells(&self) -> Vec<Value> {
-        self.values()
-    }
-    fn from_cells(cells: &[Value]) -> Option<Self> {
-        let [kind, nodes, ports, links, radix, reconf] = cells else {
-            return None;
-        };
-        Some(Self {
-            kind: TopologyKind::from_name(cell_str(kind)?)?,
-            nodes: cell_usize(nodes)?,
-            router_ports: cell_usize(ports)?,
-            links: cell_usize(links)?,
-            requires_high_radix: cell_bool(radix)?,
-            supports_reconfiguration: cell_bool(reconf)?,
-        })
-    }
-}
-
 // ---------------------------------------------------------------------------
 // RunContext
 // ---------------------------------------------------------------------------
@@ -297,6 +161,15 @@ impl CheckpointRow for crate::experiments::ConfigurationRow {
 /// The build-once topology cache studies share: `(design, nodes, seed)` →
 /// generated [`NetworkInstance`].
 pub type TopologyCache = BuildCache<(TopologyKind, usize, u64), NetworkInstance>;
+
+/// The process-wide [`TopologyCache`] every [`RunContext`] starts with.
+/// Construction is a pure function of the key, so sharing instances across
+/// jobs (and across studies) never changes results — it only removes
+/// redundant topology generation from sweeps that revisit a network point.
+fn shared_topology_cache() -> Arc<TopologyCache> {
+    static CACHE: OnceLock<Arc<TopologyCache>> = OnceLock::new();
+    Arc::clone(CACHE.get_or_init(Arc::default))
+}
 
 /// An observer invoked with every row a [`RowStream`] writes, in delivery
 /// (enumeration) order — the seam the `sfbench serve` daemon uses to stream
@@ -355,7 +228,7 @@ pub struct RunContext {
     quick: bool,
     shards: usize,
     scale_override: Option<ExperimentScale>,
-    cache: Option<Arc<TopologyCache>>,
+    cache: Arc<TopologyCache>,
     emitters: Vec<Emitter>,
     checkpoint_path: Option<PathBuf>,
     max_journal_bytes: Option<u64>,
@@ -387,7 +260,7 @@ impl RunContext {
             quick: false,
             shards: 0,
             scale_override: None,
-            cache: None,
+            cache: shared_topology_cache(),
             emitters: Vec::new(),
             checkpoint_path: None,
             max_journal_bytes: None,
@@ -435,7 +308,7 @@ impl RunContext {
     /// one (useful for isolation in tests).
     #[must_use]
     pub fn with_build_cache(mut self, cache: Arc<TopologyCache>) -> Self {
-        self.cache = Some(cache);
+        self.cache = cache;
         self
     }
 
@@ -599,12 +472,9 @@ impl RunContext {
         nodes: usize,
         seed: u64,
     ) -> SfResult<Arc<NetworkInstance>> {
-        match &self.cache {
-            Some(cache) => cache.get_or_build((kind, nodes, seed), || {
-                NetworkInstance::build(kind, nodes, seed)
-            }),
-            None => experiments::cached_instance(kind, nodes, seed),
-        }
+        self.cache.get_or_build((kind, nodes, seed), || {
+            NetworkInstance::build(kind, nodes, seed)
+        })
     }
 
     /// Opens the checkpoint journal for a run identified by `fingerprint`,
@@ -977,10 +847,6 @@ pub trait Study: Send + Sync {
     /// One-line human description (shown by `sfbench list`; never empty).
     fn description(&self) -> &'static str;
 
-    /// The `experiments` module driver behind this study, for the
-    /// registry-completeness test.
-    fn driver(&self) -> &'static str;
-
     /// The parameter grid this study sweeps at the context's scale.
     fn grid(&self, ctx: &RunContext) -> StudyGrid;
 
@@ -1214,18 +1080,18 @@ impl StudyRegistry {
         Self::default()
     }
 
-    /// The registry of all eight paper artefacts.
+    /// The registry of the eight paper artefacts.
     #[must_use]
     pub fn paper() -> Self {
         let mut registry = Self::new();
-        registry.register(Box::new(Fig05Surg));
-        registry.register(Box::new(Fig08Configs));
-        registry.register(Box::new(Fig09aHopCounts));
-        registry.register(Box::new(Fig09bPowerGating));
-        registry.register(Box::new(Fig10Saturation));
-        registry.register(Box::new(Fig11LatencyCurves));
-        registry.register(Box::new(Fig12Workloads));
-        registry.register(Box::new(BisectionStudy));
+        registry.register(Box::new(fig05::Fig05Surg));
+        registry.register(Box::new(fig08::Fig08Configs));
+        registry.register(Box::new(fig09a::Fig09aHopCounts));
+        registry.register(Box::new(fig09b::Fig09bPowerGating));
+        registry.register(Box::new(fig10::Fig10Saturation));
+        registry.register(Box::new(fig11::Fig11LatencyCurves));
+        registry.register(Box::new(fig12::Fig12Workloads));
+        registry.register(Box::new(bisection::BisectionStudy));
         registry
     }
 
@@ -1237,10 +1103,10 @@ impl StudyRegistry {
     #[must_use]
     pub fn extended() -> Self {
         let mut registry = Self::new();
-        registry.register(Box::new(FaultResilience));
-        registry.register(Box::new(AdversarialSaturation));
-        registry.register(Box::new(Scaleout2048));
-        registry.register(Box::new(Megasweep));
+        registry.register(Box::new(fault_resilience::FaultResilience));
+        registry.register(Box::new(fig10::AdversarialSaturation));
+        registry.register(Box::new(fig09a::Scaleout2048));
+        registry.register(Box::new(megasweep::Megasweep));
         registry
     }
 
@@ -1364,873 +1230,22 @@ pub fn print_result_table(table: &Table) {
     print_table(&headers, &rows);
 }
 
-// ---------------------------------------------------------------------------
-// The eight paper studies
-// ---------------------------------------------------------------------------
-
-/// Figure 5: average shortest path length of Jellyfish, S2, and SF.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig05Surg;
-
-impl Fig05Surg {
-    fn params(ctx: &RunContext) -> (Vec<usize>, u64) {
-        if ctx.is_quick() {
-            (vec![100, 200, 400], 3)
-        } else {
-            // The paper's x-axis: 100–1200 nodes, 20 topologies per point.
-            (vec![100, 200, 400, 800, 1200], 20)
-        }
-    }
-}
-
-impl Study for Fig05Surg {
-    fn name(&self) -> &'static str {
-        "fig05"
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["fig05_surg_path_length"]
-    }
-    fn artefact(&self) -> &'static str {
-        "Figure 5"
-    }
-    fn description(&self) -> &'static str {
-        "average shortest path length of Jellyfish, S2, and String Figure across network sizes"
-    }
-    fn driver(&self) -> &'static str {
-        "surg_path_length_study"
-    }
-    fn grid(&self, ctx: &RunContext) -> StudyGrid {
-        let (sizes, seeds) = Self::params(ctx);
-        StudyGrid::new(vec![
-            ("nodes", sizes.len()),
-            ("topology seed", seeds as usize),
-            ("design", 3),
-        ])
-    }
-    fn run(&self, ctx: &RunContext) -> SfResult<Table> {
-        let (sizes, seeds) = Self::params(ctx);
-        let rows = surg_path_length_study_with_ctx(ctx, &sizes, seeds)?;
-        Ok(Table::from_records(&rows))
-    }
-}
-
-/// Figure 8 / Table II: evaluated configurations and the feature matrix.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig08Configs;
-
-impl Fig08Configs {
-    fn sizes(ctx: &RunContext) -> Vec<usize> {
-        if ctx.is_quick() {
-            vec![16, 61, 128]
-        } else {
-            // Figure 8's column headers.
-            vec![16, 17, 32, 61, 64, 113, 128, 256, 512, 1024, 1296]
-        }
-    }
-}
-
-impl Study for Fig08Configs {
-    fn name(&self) -> &'static str {
-        "fig08"
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["fig08_table02_configs", "table02"]
-    }
-    fn artefact(&self) -> &'static str {
-        "Figure 8 / Table II"
-    }
-    fn description(&self) -> &'static str {
-        "evaluated network configurations (router ports, links) and the qualitative feature matrix"
-    }
-    fn driver(&self) -> &'static str {
-        "configuration_table"
-    }
-    fn grid(&self, ctx: &RunContext) -> StudyGrid {
-        StudyGrid::new(vec![
-            ("nodes", Self::sizes(ctx).len()),
-            ("design", TopologyKind::ALL.len()),
-        ])
-    }
-    fn run(&self, ctx: &RunContext) -> SfResult<Table> {
-        let rows = configuration_table_with_ctx(ctx, &TopologyKind::ALL, &Self::sizes(ctx), 1)?;
-        Ok(Table::from_records(&rows))
-    }
-    fn print_extras(&self, _table: &Table) {
-        println!();
-        eprintln!("# Table II: topology features and requirements");
-        let rows: Vec<Vec<String>> = TopologyKind::ALL
-            .iter()
-            .map(|k| {
-                let yes_no = |b: bool| if b { "yes" } else { "no" }.to_string();
-                vec![
-                    k.to_string(),
-                    yes_no(k.requires_high_radix()),
-                    yes_no(k.requires_high_radix()),
-                    yes_no(k.supports_reconfiguration()),
-                ]
-            })
-            .collect();
-        print_table(
-            &[
-                "design",
-                "high-radix routers",
-                "port scaling",
-                "reconfigurable scaling",
-            ],
-            &rows,
-        );
-    }
-}
-
-/// Figure 9(a): average routed hop counts per design and scale.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig09aHopCounts;
-
-impl Fig09aHopCounts {
-    fn params(ctx: &RunContext) -> (Vec<usize>, usize) {
-        if ctx.is_quick() {
-            (vec![16, 64, 128], 500)
-        } else {
-            (vec![16, 32, 64, 128, 256, 512, 1024, 1296], 2_000)
-        }
-    }
-}
-
-impl Study for Fig09aHopCounts {
-    fn name(&self) -> &'static str {
-        "fig09a"
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["fig09a_hop_counts"]
-    }
-    fn artefact(&self) -> &'static str {
-        "Figure 9(a)"
-    }
-    fn description(&self) -> &'static str {
-        "average hop counts taken by each design's routing protocol as the network grows"
-    }
-    fn driver(&self) -> &'static str {
-        "hop_count_study"
-    }
-    fn grid(&self, ctx: &RunContext) -> StudyGrid {
-        StudyGrid::new(vec![
-            ("nodes", Self::params(ctx).0.len()),
-            ("design", TopologyKind::ALL.len()),
-        ])
-    }
-    fn run(&self, ctx: &RunContext) -> SfResult<Table> {
-        let (sizes, samples) = Self::params(ctx);
-        let rows = hop_count_study_with_ctx(ctx, &TopologyKind::ALL, &sizes, samples, 7)?;
-        Ok(Table::from_records(&rows))
-    }
-}
-
-/// Figure 9(b): normalised EDP of String Figure under power gating.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig09bPowerGating;
-
-impl Fig09bPowerGating {
-    const FRACTIONS: [f64; 6] = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5];
-
-    fn params(ctx: &RunContext) -> (usize, Vec<ApplicationModel>, ExperimentScale) {
-        let nodes = if ctx.is_quick() { 64 } else { 324 };
-        let workloads: Vec<ApplicationModel> = if ctx.is_quick() {
-            vec![ApplicationModel::SparkWordcount, ApplicationModel::Redis]
-        } else {
-            ApplicationModel::ALL.to_vec()
-        };
-        let scale = ctx.scale(ExperimentScale {
-            max_cycles: 8_000,
-            warmup_cycles: 1_000,
-            ..ExperimentScale::paper()
-        });
-        (nodes, workloads, scale)
-    }
-}
-
-impl Study for Fig09bPowerGating {
-    fn name(&self) -> &'static str {
-        "fig09b"
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["fig09b_powergate_edp"]
-    }
-    fn artefact(&self) -> &'static str {
-        "Figure 9(b)"
-    }
-    fn description(&self) -> &'static str {
-        "normalised energy-delay product while power-gating increasing fractions of the memory network"
-    }
-    fn driver(&self) -> &'static str {
-        "power_gating_study"
-    }
-    fn grid(&self, ctx: &RunContext) -> StudyGrid {
-        StudyGrid::new(vec![
-            ("workload", Self::params(ctx).1.len()),
-            ("gated fraction", Self::FRACTIONS.len()),
-        ])
-    }
-    fn run(&self, ctx: &RunContext) -> SfResult<Table> {
-        let (nodes, workloads, scale) = Self::params(ctx);
-        // PowerGateRow doesn't carry its workload, so the artifact table
-        // prepends that column to the Record's own.
-        let mut table =
-            Table::with_columns(&[&["workload"], PowerGateRow::columns().as_slice()].concat());
-        for &workload in &workloads {
-            let rows = power_gating_study_with_ctx(
-                ctx,
-                nodes,
-                &Self::FRACTIONS,
-                workload,
-                4,
-                scale,
-                2019,
-            )?;
-            for row in rows {
-                let mut cells = vec![workload.name().into()];
-                cells.extend(row.values());
-                table.push_row(cells);
-            }
-        }
-        Ok(table)
-    }
-    fn print_extras(&self, table: &Table) {
-        // The formatted view the old binary printed: gated fraction as a
-        // percentage, normalised EDP, and round-trip latency per workload.
-        eprintln!("\n# normalised EDP vs fraction of nodes power-gated (lower is better)");
-        let rows: Vec<Vec<String>> = table
-            .rows
-            .iter()
-            .map(|row| {
-                let cell = |i: usize| render_cell(&row[i]);
-                let fraction = match &row[1] {
-                    Value::Float(f) => format!("{:.0}%", f * 100.0),
-                    other => other.render(),
-                };
-                vec![cell(0), fraction, cell(2), cell(4), cell(5)]
-            })
-            .collect();
-        print_table(
-            &[
-                "workload",
-                "gated",
-                "gated nodes",
-                "normalised EDP",
-                "avg round trip (cycles)",
-            ],
-            &rows,
-        );
-    }
-}
-
-/// Figure 10: saturation injection rates per design, size, and pattern.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig10Saturation;
-
-impl Fig10Saturation {
-    const PATTERNS: [SyntheticPattern; 3] = [
-        SyntheticPattern::UniformRandom,
-        SyntheticPattern::Hotspot,
-        SyntheticPattern::Tornado,
-    ];
-
-    fn params(ctx: &RunContext) -> (Vec<usize>, Vec<f64>, ExperimentScale) {
-        let (sizes, rates) = if ctx.is_quick() {
-            (vec![16, 64], vec![0.05, 0.2, 0.4, 0.7])
-        } else {
-            (
-                vec![16, 64, 128, 256, 512],
-                vec![0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
-            )
-        };
-        let scale = ctx.scale(ExperimentScale {
-            max_cycles: 6_000,
-            warmup_cycles: 800,
-            ..ExperimentScale::paper()
-        });
-        (sizes, rates, scale)
-    }
-}
-
-impl Study for Fig10Saturation {
-    fn name(&self) -> &'static str {
-        "fig10"
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["fig10_saturation"]
-    }
-    fn artefact(&self) -> &'static str {
-        "Figure 10"
-    }
-    fn description(&self) -> &'static str {
-        "highest non-saturating injection rate per design, size, and traffic pattern"
-    }
-    fn driver(&self) -> &'static str {
-        "saturation_study"
-    }
-    fn grid(&self, ctx: &RunContext) -> StudyGrid {
-        StudyGrid::new(vec![
-            ("pattern", Self::PATTERNS.len()),
-            ("nodes", Self::params(ctx).0.len()),
-            ("design", TopologyKind::ALL.len()),
-        ])
-    }
-    fn run(&self, ctx: &RunContext) -> SfResult<Table> {
-        let (sizes, rates, scale) = Self::params(ctx);
-        let mut all_rows = Vec::new();
-        for pattern in Self::PATTERNS {
-            for &nodes in &sizes {
-                all_rows.extend(saturation_study_with_ctx(
-                    ctx,
-                    &TopologyKind::ALL,
-                    nodes,
-                    pattern,
-                    &rates,
-                    scale,
-                    3,
-                )?);
-            }
-        }
-        Ok(Table::from_records(&all_rows))
-    }
-}
-
-/// Figure 11: latency versus injection rate curves.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig11LatencyCurves;
-
-impl Fig11LatencyCurves {
-    #[allow(clippy::type_complexity)]
-    fn params(
-        ctx: &RunContext,
-    ) -> (
-        usize,
-        Vec<f64>,
-        Vec<TopologyKind>,
-        Vec<SyntheticPattern>,
-        ExperimentScale,
-    ) {
-        let quick = ctx.is_quick();
-        let nodes = if quick { 64 } else { 256 };
-        let rates: Vec<f64> = if quick {
-            vec![0.05, 0.2, 0.5]
-        } else {
-            vec![0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
-        };
-        let kinds = if quick {
-            vec![TopologyKind::DistributedMesh, TopologyKind::StringFigure]
-        } else {
-            TopologyKind::ALL.to_vec()
-        };
-        let patterns = if quick {
-            vec![SyntheticPattern::UniformRandom, SyntheticPattern::Tornado]
-        } else {
-            SyntheticPattern::ALL.to_vec()
-        };
-        let scale = ctx.scale(ExperimentScale {
-            max_cycles: 6_000,
-            warmup_cycles: 800,
-            ..ExperimentScale::paper()
-        });
-        (nodes, rates, kinds, patterns, scale)
-    }
-}
-
-impl Study for Fig11LatencyCurves {
-    fn name(&self) -> &'static str {
-        "fig11"
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["fig11_latency_curves"]
-    }
-    fn artefact(&self) -> &'static str {
-        "Figure 11"
-    }
-    fn description(&self) -> &'static str {
-        "average packet latency versus injection rate for every design and traffic pattern"
-    }
-    fn driver(&self) -> &'static str {
-        "latency_curve"
-    }
-    fn grid(&self, ctx: &RunContext) -> StudyGrid {
-        let (_, rates, kinds, patterns, _) = Self::params(ctx);
-        StudyGrid::new(vec![
-            ("pattern", patterns.len()),
-            ("design", kinds.len()),
-            ("injection rate", rates.len()),
-        ])
-    }
-    fn run(&self, ctx: &RunContext) -> SfResult<Table> {
-        let (nodes, rates, kinds, patterns, scale) = Self::params(ctx);
-        // LatencyPoint rows don't carry their (pattern, design) context, so
-        // the artifact table prepends those two columns to the Record's own.
-        let mut table = Table::with_columns(
-            &[&["pattern", "design"], LatencyPoint::columns().as_slice()].concat(),
-        );
-        for &pattern in &patterns {
-            for &kind in &kinds {
-                let points = latency_curve_with_ctx(ctx, kind, nodes, pattern, &rates, scale, 5)?;
-                for p in points {
-                    let mut cells = vec![pattern.to_string().into(), kind.name().into()];
-                    cells.extend(p.values());
-                    table.push_row(cells);
-                }
-            }
-        }
-        Ok(table)
-    }
-}
-
-/// Figure 12: real-workload throughput and dynamic memory energy.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig12Workloads;
-
-impl Fig12Workloads {
-    // The paper normalises throughput to DM and energy to AFB; ODM,
-    // S2-ideal, and SF are the compared designs.
-    const KINDS: [TopologyKind; 5] = [
-        TopologyKind::DistributedMesh,
-        TopologyKind::OptimizedMesh,
-        TopologyKind::AdaptedFlattenedButterfly,
-        TopologyKind::SpaceShuffle,
-        TopologyKind::StringFigure,
-    ];
-
-    fn params(ctx: &RunContext) -> (usize, Vec<ApplicationModel>, ExperimentScale) {
-        let nodes = if ctx.is_quick() { 64 } else { 256 };
-        let workloads: Vec<ApplicationModel> = if ctx.is_quick() {
-            vec![ApplicationModel::SparkWordcount, ApplicationModel::Redis]
-        } else {
-            ApplicationModel::ALL.to_vec()
-        };
-        let scale = ctx.scale(ExperimentScale {
-            max_cycles: 8_000,
-            warmup_cycles: 1_000,
-            ..ExperimentScale::paper()
-        });
-        (nodes, workloads, scale)
-    }
-
-    /// Looks the (kind, workload) row's column up in the result table.
-    fn lookup(table: &Table, kind: TopologyKind, workload: &str, column: &str) -> Option<f64> {
-        let col = table.columns.iter().position(|c| c == column)?;
-        table
-            .rows
-            .iter()
-            .find(|row| {
-                matches!(&row[0], Value::Str(k) if k == kind.name())
-                    && matches!(&row[1], Value::Str(w) if w == workload)
-            })
-            .and_then(|row| cell_f64(&row[col]))
-    }
-}
-
-impl Study for Fig12Workloads {
-    fn name(&self) -> &'static str {
-        "fig12"
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["fig12_workloads"]
-    }
-    fn artefact(&self) -> &'static str {
-        "Figure 12"
-    }
-    fn description(&self) -> &'static str {
-        "application throughput and dynamic memory energy per design (normalised in the extras)"
-    }
-    fn driver(&self) -> &'static str {
-        "workload_study"
-    }
-    fn grid(&self, ctx: &RunContext) -> StudyGrid {
-        StudyGrid::new(vec![
-            ("design", Self::KINDS.len()),
-            ("workload", Self::params(ctx).1.len()),
-        ])
-    }
-    fn run(&self, ctx: &RunContext) -> SfResult<Table> {
-        let (nodes, workloads, scale) = Self::params(ctx);
-        let rows = workload_study_with_ctx(ctx, &Self::KINDS, &workloads, nodes, 4, scale, 2019)?;
-        Ok(Table::from_records(&rows))
-    }
-    fn print_extras(&self, table: &Table) {
-        let workloads: Vec<String> = {
-            let mut seen = Vec::new();
-            for row in &table.rows {
-                if let Value::Str(w) = &row[1] {
-                    if !seen.contains(w) {
-                        seen.push(w.clone());
-                    }
-                }
-            }
-            seen
-        };
-        let get = |kind, workload: &str, column| {
-            Self::lookup(table, kind, workload, column).unwrap_or(f64::NAN)
-        };
-
-        eprintln!("\n# Figure 12(a): throughput normalised to DM (higher is better)");
-        let mut thr = Vec::new();
-        let mut geo: Vec<(TopologyKind, f64)> = Vec::new();
-        for &kind in &[
-            TopologyKind::OptimizedMesh,
-            TopologyKind::AdaptedFlattenedButterfly,
-            TopologyKind::SpaceShuffle,
-            TopologyKind::StringFigure,
-        ] {
-            let mut log_sum = 0.0;
-            for w in &workloads {
-                let base = get(TopologyKind::DistributedMesh, w, "requests_per_cycle");
-                let val = get(kind, w, "requests_per_cycle") / base.max(f64::MIN_POSITIVE);
-                log_sum += val.ln();
-                thr.push(vec![w.clone(), kind.to_string(), fmt_f(val)]);
-            }
-            geo.push((kind, (log_sum / workloads.len() as f64).exp()));
-        }
-        for (kind, g) in &geo {
-            thr.push(vec!["geomean".to_string(), kind.to_string(), fmt_f(*g)]);
-        }
-        print_table(&["workload", "design", "normalised throughput"], &thr);
-
-        eprintln!(
-            "\n# Figure 12(b): dynamic memory energy per request normalised to AFB (lower is better)"
-        );
-        let mut energy = Vec::new();
-        for &kind in &[
-            TopologyKind::OptimizedMesh,
-            TopologyKind::SpaceShuffle,
-            TopologyKind::StringFigure,
-        ] {
-            let mut log_sum = 0.0;
-            for w in &workloads {
-                let base = get(
-                    TopologyKind::AdaptedFlattenedButterfly,
-                    w,
-                    "energy_per_request_pj",
-                );
-                let val = get(kind, w, "energy_per_request_pj") / base.max(f64::MIN_POSITIVE);
-                log_sum += val.ln();
-                energy.push(vec![w.clone(), kind.to_string(), fmt_f(val)]);
-            }
-            energy.push(vec![
-                "geomean".to_string(),
-                kind.to_string(),
-                fmt_f((log_sum / workloads.len() as f64).exp()),
-            ]);
-        }
-        print_table(&["workload", "design", "normalised energy"], &energy);
-    }
-}
-
-/// Section V methodology: empirical minimum bisection bandwidth.
-#[derive(Debug, Clone, Copy)]
-pub struct BisectionStudy;
-
-impl BisectionStudy {
-    fn params(ctx: &RunContext) -> (Vec<usize>, usize, u64) {
-        if ctx.is_quick() {
-            (vec![64], 10, 3)
-        } else {
-            (vec![64, 128, 256], 50, 20)
-        }
-    }
-}
-
-impl Study for BisectionStudy {
-    fn name(&self) -> &'static str {
-        "bisection"
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["bisection_bandwidth"]
-    }
-    fn artefact(&self) -> &'static str {
-        "Section V bisection methodology"
-    }
-    fn description(&self) -> &'static str {
-        "empirical minimum bisection bandwidth over random cuts and generated topologies"
-    }
-    fn driver(&self) -> &'static str {
-        "bisection_study"
-    }
-    fn grid(&self, ctx: &RunContext) -> StudyGrid {
-        let (sizes, _, topologies) = Self::params(ctx);
-        StudyGrid::new(vec![
-            ("nodes", sizes.len()),
-            ("design", TopologyKind::ALL.len()),
-            ("topology", topologies as usize),
-        ])
-    }
-    fn run(&self, ctx: &RunContext) -> SfResult<Table> {
-        let (sizes, cuts, topologies) = Self::params(ctx);
-        let mut all_rows = Vec::new();
-        for &nodes in &sizes {
-            all_rows.extend(bisection_study_with_ctx(
-                ctx,
-                &TopologyKind::ALL,
-                nodes,
-                cuts,
-                topologies,
-            )?);
-        }
-        Ok(Table::from_records(&all_rows))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The extended scenario studies (beyond the paper's evaluation)
-// ---------------------------------------------------------------------------
-
-/// Scenario: delivery ratio, drops, and latency under deterministic waves of
-/// link failures and router power-gate events.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultResilience;
-
-impl FaultResilience {
-    const RATE: f64 = 0.05;
-
-    #[allow(clippy::type_complexity)]
-    fn params(
-        ctx: &RunContext,
-    ) -> (
-        Vec<TopologyKind>,
-        usize,
-        Vec<(usize, usize)>,
-        ExperimentScale,
-    ) {
-        let (kinds, nodes, severities) = if ctx.is_quick() {
-            (
-                vec![TopologyKind::DistributedMesh, TopologyKind::StringFigure],
-                48,
-                vec![(0, 0), (2, 1)],
-            )
-        } else {
-            (
-                vec![
-                    TopologyKind::DistributedMesh,
-                    TopologyKind::SpaceShuffle,
-                    TopologyKind::StringFigure,
-                ],
-                256,
-                vec![(0, 0), (1, 0), (2, 1), (4, 2)],
-            )
-        };
-        let scale = ctx.scale(ExperimentScale {
-            max_cycles: 6_000,
-            warmup_cycles: 800,
-            ..ExperimentScale::paper()
-        });
-        (kinds, nodes, severities, scale)
-    }
-}
-
-impl Study for FaultResilience {
-    fn name(&self) -> &'static str {
-        "fault_resilience"
-    }
-    fn artefact(&self) -> &'static str {
-        "Scenario: fault injection"
-    }
-    fn description(&self) -> &'static str {
-        "delivery ratio, drops, and latency under deterministic link-failure and router power-gate waves"
-    }
-    fn driver(&self) -> &'static str {
-        "fault_resilience_study"
-    }
-    fn grid(&self, ctx: &RunContext) -> StudyGrid {
-        let (kinds, _, severities, _) = Self::params(ctx);
-        StudyGrid::new(vec![
-            ("design", kinds.len()),
-            ("fault severity", severities.len()),
-        ])
-    }
-    fn run(&self, ctx: &RunContext) -> SfResult<Table> {
-        let (kinds, nodes, severities, scale) = Self::params(ctx);
-        let rows = fault_resilience_study_with_ctx(
-            ctx,
-            &kinds,
-            nodes,
-            &severities,
-            Self::RATE,
-            scale,
-            19,
-        )?;
-        Ok(Table::from_records(&rows))
-    }
-}
-
-/// Scenario: the saturation methodology under adversarial traffic (hotspot
-/// storm, bursty on/off, bit-reversal permutation).
-#[derive(Debug, Clone, Copy)]
-pub struct AdversarialSaturation;
-
-impl AdversarialSaturation {
-    fn params(ctx: &RunContext) -> (Vec<TopologyKind>, usize, Vec<f64>, ExperimentScale) {
-        let (nodes, rates) = if ctx.is_quick() {
-            (36, vec![0.05, 0.2, 0.4, 0.7])
-        } else {
-            (128, vec![0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
-        };
-        let scale = ctx.scale(ExperimentScale {
-            max_cycles: 6_000,
-            warmup_cycles: 800,
-            ..ExperimentScale::paper()
-        });
-        (TopologyKind::ALL.to_vec(), nodes, rates, scale)
-    }
-}
-
-impl Study for AdversarialSaturation {
-    fn name(&self) -> &'static str {
-        "adversarial_saturation"
-    }
-    fn artefact(&self) -> &'static str {
-        "Scenario: adversarial traffic"
-    }
-    fn description(&self) -> &'static str {
-        "highest non-saturating injection rate per design under hotspot-storm, bursty, and bit-reversal traffic"
-    }
-    fn driver(&self) -> &'static str {
-        "adversarial_saturation_study"
-    }
-    fn grid(&self, ctx: &RunContext) -> StudyGrid {
-        let (kinds, _, _, _) = Self::params(ctx);
-        StudyGrid::new(vec![
-            ("pattern", SyntheticPattern::ADVERSARIAL.len()),
-            ("design", kinds.len()),
-        ])
-    }
-    fn run(&self, ctx: &RunContext) -> SfResult<Table> {
-        let (kinds, nodes, rates, scale) = Self::params(ctx);
-        let rows = adversarial_saturation_study_with_ctx(ctx, &kinds, nodes, &rates, scale, 3)?;
-        Ok(Table::from_records(&rows))
-    }
-}
-
-/// Scenario: hop-count scaling of the fixed-radix designs beyond the paper's
-/// 1296-node maximum, up to 2048 nodes.
-#[derive(Debug, Clone, Copy)]
-pub struct Scaleout2048;
-
-impl Scaleout2048 {
-    const KINDS: [TopologyKind; 3] = [
-        TopologyKind::SpaceShuffle,
-        TopologyKind::StringFigure,
-        TopologyKind::Jellyfish,
-    ];
-
-    fn params(ctx: &RunContext) -> (Vec<usize>, usize) {
-        if ctx.is_quick() {
-            (vec![128, 256], 200)
-        } else {
-            (vec![512, 1024, 2048], 1_000)
-        }
-    }
-}
-
-impl Study for Scaleout2048 {
-    fn name(&self) -> &'static str {
-        "scaleout_2048"
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["scaleout"]
-    }
-    fn artefact(&self) -> &'static str {
-        "Scenario: scale-out beyond 1296 nodes"
-    }
-    fn description(&self) -> &'static str {
-        "path-length and routed hop-count scaling of the fixed-radix designs up to 2048 nodes"
-    }
-    fn driver(&self) -> &'static str {
-        "scaleout_study"
-    }
-    fn grid(&self, ctx: &RunContext) -> StudyGrid {
-        StudyGrid::new(vec![
-            ("nodes", Self::params(ctx).0.len()),
-            ("design", Self::KINDS.len()),
-        ])
-    }
-    fn run(&self, ctx: &RunContext) -> SfResult<Table> {
-        let (sizes, samples) = Self::params(ctx);
-        let rows = scaleout_study_with_ctx(ctx, &Self::KINDS, &sizes, samples, 7)?;
-        Ok(Table::from_records(&rows))
-    }
-}
-
-/// Scenario: the streaming mega-sweep — design × size × injection rate ×
-/// topology seed at ~10⁵ quick-capped points full-scale. The only study
-/// that exists *because of* the bounded-memory pipeline: its grid streams
-/// through the lazy cross product, its rows stream to the emitters, and its
-/// `run` returns only a per-design summary.
-#[derive(Debug, Clone, Copy)]
-pub struct Megasweep;
-
-impl Megasweep {
-    #[allow(clippy::type_complexity)]
-    fn params(
-        ctx: &RunContext,
-    ) -> (
-        Vec<TopologyKind>,
-        Vec<usize>,
-        Vec<f64>,
-        u64,
-        ExperimentScale,
-    ) {
-        let (kinds, sizes, rates, seeds) = if ctx.is_quick() {
-            (
-                vec![TopologyKind::DistributedMesh, TopologyKind::StringFigure],
-                vec![16, 32],
-                vec![0.05, 0.2, 0.4],
-                2,
-            )
-        } else {
-            (
-                TopologyKind::ALL.to_vec(),
-                vec![16, 32, 48, 64, 96, 128],
-                (1..=20).map(|i| f64::from(i) * 0.045).collect(),
-                150,
-            )
-        };
-        // Every point is quick-capped: the sweep's scale comes from its
-        // breadth (~10^5 points full-scale), not from long simulations.
-        let scale = ctx.scale(ExperimentScale::quick());
-        (kinds, sizes, rates, seeds, scale)
-    }
-}
-
-impl Study for Megasweep {
-    fn name(&self) -> &'static str {
-        "megasweep"
-    }
-    fn artefact(&self) -> &'static str {
-        "Scenario: streaming mega-sweep"
-    }
-    fn description(&self) -> &'static str {
-        "bounded-memory design-space sweep over design x size x injection rate x seed; rows stream to the emitters"
-    }
-    fn driver(&self) -> &'static str {
-        "megasweep_study"
-    }
-    fn grid(&self, ctx: &RunContext) -> StudyGrid {
-        let (kinds, sizes, rates, seeds, _) = Self::params(ctx);
-        StudyGrid::new(vec![
-            ("design", kinds.len()),
-            ("nodes", sizes.len()),
-            ("injection rate", rates.len()),
-            ("topology seed", seeds as usize),
-        ])
-    }
-    fn streams_rows(&self) -> bool {
-        true
-    }
-    fn run(&self, ctx: &RunContext) -> SfResult<Table> {
-        let (kinds, sizes, rates, seeds, scale) = Self::params(ctx);
-        let summary = megasweep_study_with_ctx(ctx, &kinds, &sizes, &rates, seeds, scale)?;
-        Ok(Table::from_records(&summary))
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::bisection::BisectionRow;
+    use super::fault_resilience::FaultResilienceRow;
+    use super::fig05::SurgRow;
+    use super::fig08::ConfigurationRow;
+    use super::fig09a::HopCountRow;
+    use super::fig09b::PowerGateRow;
+    use super::fig10::SaturationRow;
+    use super::fig11::LatencyPoint;
+    use super::fig12::WorkloadRow;
+    use super::megasweep::{Megasweep, MegasweepRow, MegasweepSummaryRow};
     use super::*;
+    use sf_topology::analysis::BisectionBandwidth;
+    use sf_workloads::{ApplicationModel, SyntheticPattern};
+    use std::fmt::Debug;
     use std::sync::atomic::AtomicUsize;
 
     fn temp_journal(name: &str) -> PathBuf {
@@ -2453,43 +1468,66 @@ mod tests {
         resumed.journal().unwrap().finish().unwrap();
     }
 
+    /// A row's CSV columns and values line up, and its journal codec
+    /// decodes exactly what its `Record::values` produced.
+    fn assert_record_row<R: RecordRow + PartialEq + Debug>(row: R) {
+        assert_eq!(row.values().len(), R::columns().len(), "{row:?}");
+        assert_eq!(R::from_cells(&row.values()).as_ref(), Some(&row));
+        assert_eq!(R::from_cells(&row.to_cells()).as_ref(), Some(&row));
+        assert!(R::from_cells(&[Value::Null]).is_none());
+    }
+
     #[test]
     fn checkpoint_rows_round_trip_through_cells() {
-        let hop = HopCountRow {
+        assert_record_row(HopCountRow {
             kind: TopologyKind::StringFigure,
             nodes: 128,
             average_shortest_path: 3.25,
             average_routed_hops: 0.1 + 0.2,
             router_ports: 8,
-        };
-        assert_eq!(HopCountRow::from_cells(&hop.to_cells()).unwrap(), hop);
-
-        let sat = SaturationRow {
+        });
+        assert_record_row(SaturationRow {
             kind: TopologyKind::DistributedMesh,
             nodes: 64,
             pattern: SyntheticPattern::Tornado,
             saturation_percent: None,
-        };
-        assert_eq!(SaturationRow::from_cells(&sat.to_cells()).unwrap(), sat);
-
-        let gate = PowerGateRow {
+        });
+        assert_record_row(SaturationRow {
+            kind: TopologyKind::StringFigure,
+            nodes: 128,
+            pattern: SyntheticPattern::HotspotStorm,
+            saturation_percent: Some(20.0),
+        });
+        assert_record_row(LatencyPoint {
+            injection_rate: 0.05,
+            average_latency_cycles: 0.1 + 0.2,
+            accepted_throughput: 0.049_75,
+            saturated: false,
+        });
+        assert_record_row(WorkloadRow {
+            kind: TopologyKind::AdaptedFlattenedButterfly,
+            workload: ApplicationModel::Redis,
+            requests_per_cycle: 1.0 / 3.0,
+            average_round_trip_cycles: 41.5,
+            energy_per_request_pj: 1.0e-7 + 2.0e-7,
+            total_energy_pj: 9.87e12,
+        });
+        assert_record_row(PowerGateRow {
             gated_fraction: 0.3,
             gated_nodes: 19,
             energy_delay_product: 1.5e9,
             normalized_edp: 0.0,
             average_round_trip_cycles: 24.5,
-        };
-        assert_eq!(PowerGateRow::from_cells(&gate.to_cells()).unwrap(), gate);
-
-        let bb = BisectionBandwidth {
-            minimum: 50,
-            average: 59.333,
-            samples: 10,
-        };
-        assert_eq!(BisectionBandwidth::from_cells(&bb.to_cells()).unwrap(), bb);
-        assert!(HopCountRow::from_cells(&[Value::Null]).is_none());
-
-        let fault = FaultResilienceRow {
+        });
+        assert_record_row(ConfigurationRow {
+            kind: TopologyKind::FlattenedButterfly,
+            nodes: 61,
+            router_ports: 14,
+            links: 427,
+            requires_high_radix: true,
+            supports_reconfiguration: false,
+        });
+        assert_record_row(FaultResilienceRow {
             kind: TopologyKind::StringFigure,
             nodes: 256,
             links_per_wave: 2,
@@ -2501,25 +1539,8 @@ mod tests {
             dropped_packets: 98,
             completion_ratio: 12_001.0 / 12_345.0,
             average_round_trip_cycles: 0.1 + 0.2,
-        };
-        assert_eq!(
-            FaultResilienceRow::from_cells(&fault.to_cells()).unwrap(),
-            fault
-        );
-        assert!(FaultResilienceRow::from_cells(&[Value::Null]).is_none());
-
-        let adversarial = SaturationRow {
-            kind: TopologyKind::StringFigure,
-            nodes: 128,
-            pattern: SyntheticPattern::HotspotStorm,
-            saturation_percent: Some(20.0),
-        };
-        assert_eq!(
-            SaturationRow::from_cells(&adversarial.to_cells()).unwrap(),
-            adversarial
-        );
-
-        let mega = MegasweepRow {
+        });
+        assert_record_row(MegasweepRow {
             kind: TopologyKind::SpaceShuffle,
             nodes: 96,
             injection_rate: 0.315,
@@ -2527,9 +1548,45 @@ mod tests {
             average_latency_cycles: 0.1 + 0.2,
             accepted_throughput: 0.0425,
             saturated: true,
+        });
+
+        // The aggregate rows are emitted but never journalled: their CSV
+        // columns and values still have to line up.
+        let surg = SurgRow {
+            nodes: 100,
+            jellyfish: 2.9,
+            s2: 3.1,
+            string_figure: 3.0,
         };
-        assert_eq!(MegasweepRow::from_cells(&mega.to_cells()).unwrap(), mega);
-        assert!(MegasweepRow::from_cells(&[Value::Null]).is_none());
+        assert_eq!(surg.values().len(), SurgRow::columns().len());
+        let bisection = BisectionRow {
+            kind: TopologyKind::Jellyfish,
+            nodes: 64,
+            minimum: 50,
+            average: 59.333,
+        };
+        assert_eq!(bisection.values().len(), BisectionRow::columns().len());
+        let summary = MegasweepSummaryRow {
+            kind: TopologyKind::StringFigure,
+            points: 6,
+            saturated_points: 1,
+            mean_latency_cycles: 18.25,
+            mean_throughput: 0.125,
+        };
+        assert_eq!(summary.values().len(), MegasweepSummaryRow::columns().len());
+
+        // The job results that are not rows keep their own explicit codecs.
+        let bb = BisectionBandwidth {
+            minimum: 50,
+            average: 59.333,
+            samples: 10,
+        };
+        assert_eq!(BisectionBandwidth::from_cells(&bb.to_cells()).unwrap(), bb);
+        assert!(BisectionBandwidth::from_cells(&[Value::Null]).is_none());
+        let length = 0.1 + 0.2;
+        assert_eq!(f64::from_cells(&length.to_cells()), Some(length));
+        assert!(f64::from_cells(&[Value::Null]).is_none());
+        assert!(f64::from_cells(&[Value::Float(1.0), Value::Float(2.0)]).is_none());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! points through shared mutable state*. This crate supplies the pieces that
 //! make that safe and reproducible:
 //!
-//! * [`sweep`] — the [`Sweep`](sweep::Sweep) / [`LazySweep`](sweep::LazySweep)
+//! * [`sweep`] — the [`Sweep`] / [`LazySweep`]
 //!   job abstraction: stream points from an iterator (or a materialised
 //!   `Vec`), derive a per-job seed from the job's index (never from
 //!   execution order), and run the closure over every point. The streaming
@@ -20,8 +20,8 @@
 //! * [`pool`] — a `std::thread`-based worker pool with chunked work
 //!   distribution and per-job panic isolation. Results are collected by job
 //!   index, so a run with 16 workers is **bit-identical** to a run with one.
-//! * [`table`] — typed result rows ([`Record`](table::Record)) collected into
-//!   a [`Table`](table::Table) with hand-rolled CSV and JSON emitters (and
+//! * [`table`] — typed result rows ([`Record`]) collected into
+//!   a [`Table`] with hand-rolled CSV and JSON emitters (and
 //!   matching parsers for round-trip tests), so bench binaries produce
 //!   machine-readable artifacts without external dependencies.
 //! * [`cache`] — a sharded, thread-safe build-once cache so repeated points
@@ -32,9 +32,9 @@
 //!   results, so interrupted mega-sweeps resume with bit-identical final
 //!   output instead of starting over; oversized logs compact in place to a
 //!   kill-safe snapshot.
-//! * [`sink`] — streaming CSV/JSON row emitters ([`RowSink`](sink::RowSink))
+//! * [`sink`] — streaming CSV/JSON row emitters ([`RowSink`])
 //!   that write each row as it arrives and finalise atomically on close,
-//!   byte-identical to serialising the equivalent [`Table`](table::Table)
+//!   byte-identical to serialising the equivalent [`Table`]
 //!   in one shot.
 //! * [`budget`] — the process-wide core budget shared between sweep-level
 //!   workers and the intra-job simulation shards of `sf-simcore`, so the two

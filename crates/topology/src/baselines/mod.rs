@@ -11,7 +11,7 @@
 //!   the Figure 5 path-length comparison.
 //!
 //! All baselines expose their link structure as an
-//! [`AdjacencyGraph`](crate::graph::AdjacencyGraph) through the
+//! [`AdjacencyGraph`] through the
 //! [`MemoryNetworkTopology`] trait so that path-length analysis, bisection
 //! measurement, and the cycle-level simulator treat every topology uniformly.
 

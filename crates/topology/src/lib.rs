@@ -8,7 +8,7 @@
 //!
 //! ## Modules
 //!
-//! * [`graph`] — the shared [`AdjacencyGraph`](graph::AdjacencyGraph) link
+//! * [`graph`] — the shared [`AdjacencyGraph`] link
 //!   structure with per-node activity flags and per-edge construction kinds.
 //! * [`spaces`] — virtual spaces: balanced random coordinates and ring
 //!   arithmetic.

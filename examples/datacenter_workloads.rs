@@ -10,8 +10,9 @@
 //! ```
 
 use sf_workloads::ApplicationModel;
-use stringfigure::experiments::{socket_nodes, workload_study, ExperimentScale};
-use stringfigure::TopologyKind;
+use stringfigure::experiments::{socket_nodes, ExperimentScale};
+use stringfigure::study::fig12::workload_study;
+use stringfigure::{RunContext, TopologyKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let nodes = 128;
@@ -30,7 +31,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let kinds = [TopologyKind::DistributedMesh, TopologyKind::StringFigure];
-    let rows = workload_study(&kinds, &ApplicationModel::ALL, nodes, sockets, scale, 2019)?;
+    let rows = workload_study(
+        &RunContext::new(),
+        &kinds,
+        &ApplicationModel::ALL,
+        nodes,
+        sockets,
+        scale,
+        2019,
+    )?;
 
     println!(
         "{:<12} {:>14} {:>14} {:>16} {:>16}",

@@ -3,15 +3,17 @@
 //! by how much), at reduced scale so the suite stays fast.
 
 use sf_workloads::SyntheticPattern;
-use stringfigure::experiments::{
-    bisection_study, configuration_table, hop_count_study, saturation_study,
-    surg_path_length_study, ExperimentScale,
-};
-use stringfigure::{NetworkInstance, TopologyKind};
+use stringfigure::experiments::ExperimentScale;
+use stringfigure::study::bisection::bisection_study;
+use stringfigure::study::fig05::surg_path_length_study;
+use stringfigure::study::fig08::configuration_table;
+use stringfigure::study::fig09a::hop_count_study;
+use stringfigure::study::fig10::saturation_study;
+use stringfigure::{NetworkInstance, RunContext, TopologyKind};
 
 #[test]
 fn figure5_trend_random_topologies_have_flat_path_length_scaling() {
-    let rows = surg_path_length_study(&[100, 400], 2).unwrap();
+    let rows = surg_path_length_study(&RunContext::new(), &[100, 400], 2).unwrap();
     let small = &rows[0];
     let large = &rows[1];
     // 4x more nodes costs well under one extra hop for all three random
@@ -29,7 +31,7 @@ fn figure9a_trend_mesh_hops_blow_up_but_sf_stays_flat() {
         TopologyKind::OptimizedMesh,
         TopologyKind::StringFigure,
     ];
-    let rows = hop_count_study(&kinds, &[64, 256], 300, 7).unwrap();
+    let rows = hop_count_study(&RunContext::new(), &kinds, &[64, 256], 300, 7).unwrap();
     let get = |kind, nodes| {
         rows.iter()
             .find(|r| r.kind == kind && r.nodes == nodes)
@@ -65,6 +67,7 @@ fn figure9a_trend_fb_is_shortest_but_needs_high_radix() {
 #[test]
 fn figure10_trend_sf_saturates_later_than_mesh_on_uniform_random() {
     let rows = saturation_study(
+        &RunContext::new(),
         &[TopologyKind::DistributedMesh, TopologyKind::StringFigure],
         49,
         SyntheticPattern::UniformRandom,
@@ -81,6 +84,7 @@ fn figure10_trend_sf_saturates_later_than_mesh_on_uniform_random() {
 #[test]
 fn bisection_bandwidth_of_sf_matches_or_beats_mesh() {
     let rows = bisection_study(
+        &RunContext::new(),
         &[TopologyKind::DistributedMesh, TopologyKind::StringFigure],
         64,
         8,
@@ -94,7 +98,7 @@ fn bisection_bandwidth_of_sf_matches_or_beats_mesh() {
 
 #[test]
 fn table2_and_figure8_configuration_summary() {
-    let rows = configuration_table(&TopologyKind::ALL, &[61, 256], 3).unwrap();
+    let rows = configuration_table(&RunContext::new(), &TopologyKind::ALL, &[61, 256], 3).unwrap();
     assert_eq!(rows.len(), 12);
     for row in &rows {
         assert!(row.links > 0);

@@ -7,20 +7,21 @@
 
 use sf_harness::pool::PoolConfig;
 use sf_workloads::{ApplicationModel, SyntheticPattern};
-use stringfigure::experiments::{
-    latency_curve_with_pool, saturation_study_with_pool, workload_study_with_pool, ExperimentScale,
-};
-use stringfigure::TopologyKind;
+use stringfigure::experiments::ExperimentScale;
+use stringfigure::study::fig10::saturation_study;
+use stringfigure::study::fig11::latency_curve;
+use stringfigure::study::fig12::workload_study;
+use stringfigure::{RunContext, TopologyKind};
 
 #[test]
 fn saturation_study_is_identical_serial_vs_sharded() {
     // Figure 10 `--quick` parameters: 64 nodes, the full design set, the
     // quick rate ladder.
     let rates = [0.05, 0.2, 0.4, 0.7];
-    let pool = PoolConfig::serial();
+    let serial = RunContext::new().with_pool(PoolConfig::serial());
     let run = |shards: usize| {
-        saturation_study_with_pool(
-            &pool,
+        saturation_study(
+            &serial,
             &TopologyKind::ALL,
             64,
             SyntheticPattern::UniformRandom,
@@ -39,11 +40,11 @@ fn saturation_study_is_identical_serial_vs_sharded() {
 fn latency_curve_is_identical_serial_vs_sharded() {
     // Figure 11 `--quick` parameters: 64 nodes, quick rates, DM and SF.
     let rates = [0.05, 0.2, 0.5];
-    let pool = PoolConfig::serial();
+    let serial = RunContext::new().with_pool(PoolConfig::serial());
     for kind in [TopologyKind::DistributedMesh, TopologyKind::StringFigure] {
         let run = |shards: usize| {
-            latency_curve_with_pool(
-                &pool,
+            latency_curve(
+                &serial,
                 kind,
                 64,
                 SyntheticPattern::UniformRandom,
@@ -63,7 +64,7 @@ fn latency_curve_is_identical_serial_vs_sharded() {
 fn workload_study_is_identical_serial_vs_sharded() {
     // Figure 12 `--quick` parameters: 64 nodes, two applications,
     // request–reply mode end to end.
-    let pool = PoolConfig::serial();
+    let serial = RunContext::new().with_pool(PoolConfig::serial());
     let kinds = [
         TopologyKind::DistributedMesh,
         TopologyKind::SpaceShuffle,
@@ -71,8 +72,8 @@ fn workload_study_is_identical_serial_vs_sharded() {
     ];
     let workloads = [ApplicationModel::SparkWordcount, ApplicationModel::Redis];
     let run = |shards: usize| {
-        workload_study_with_pool(
-            &pool,
+        workload_study(
+            &serial,
             &kinds,
             &workloads,
             64,
@@ -96,8 +97,8 @@ fn nested_parallelism_never_changes_rows() {
     // must still match the fully serial run bit for bit.
     let rates = [0.05, 0.2, 0.4];
     let run = |pool: PoolConfig, shards: usize| {
-        saturation_study_with_pool(
-            &pool,
+        saturation_study(
+            &RunContext::new().with_pool(pool),
             &[TopologyKind::DistributedMesh, TopologyKind::StringFigure],
             48,
             SyntheticPattern::Tornado,

@@ -4,14 +4,15 @@
 
 use sf_types::NodeId;
 use sf_workloads::ApplicationModel;
-use stringfigure::experiments::{
-    power_gating_study, socket_nodes, workload_study, ExperimentScale,
-};
-use stringfigure::TopologyKind;
+use stringfigure::experiments::{socket_nodes, ExperimentScale};
+use stringfigure::study::fig09b::power_gating_study;
+use stringfigure::study::fig12::workload_study;
+use stringfigure::{RunContext, TopologyKind};
 
 #[test]
 fn all_workloads_complete_requests_on_string_figure() {
     let rows = workload_study(
+        &RunContext::new(),
         &[TopologyKind::StringFigure],
         &ApplicationModel::ALL,
         48,
@@ -35,6 +36,7 @@ fn all_workloads_complete_requests_on_string_figure() {
 #[test]
 fn figure12_trend_sf_beats_mesh_on_throughput() {
     let rows = workload_study(
+        &RunContext::new(),
         &[TopologyKind::DistributedMesh, TopologyKind::StringFigure],
         &[ApplicationModel::Pagerank, ApplicationModel::Redis],
         64,
@@ -68,6 +70,7 @@ fn figure12_trend_sf_beats_mesh_on_throughput() {
 #[test]
 fn figure12_trend_sf_uses_less_network_energy_per_request_than_mesh() {
     let rows = workload_study(
+        &RunContext::new(),
         &[TopologyKind::DistributedMesh, TopologyKind::StringFigure],
         &[ApplicationModel::Memcached],
         100,
@@ -91,6 +94,7 @@ fn figure12_trend_sf_uses_less_network_energy_per_request_than_mesh() {
 #[test]
 fn figure9b_power_gating_study_produces_consistent_rows() {
     let rows = power_gating_study(
+        &RunContext::new(),
         60,
         &[0.0, 0.2, 0.4],
         ApplicationModel::SparkWordcount,
