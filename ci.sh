@@ -212,27 +212,6 @@ if [[ "${1:-}" != "--quick" ]]; then
     rm -f "$fault_serial_csv" "$fault_sharded_csv"
     echo "==> fault-scenario artifacts byte-identical"
 
-    # Sweep-as-a-service smoke: a background daemon must produce artifacts
-    # byte-identical to a direct run, then shut down cleanly over the
-    # protocol (removing its socket file).
-    echo "==> sfbench serve smoke (daemon submit vs direct run)"
-    serve_dir="$(mktemp -d)"
-    "$sfbench" serve --socket "$serve_dir/sock" --quiet &
-    serve_pid=$!
-    for _ in $(seq 1 500); do
-        [[ -S "$serve_dir/sock" ]] && break
-        sleep 0.01
-    done
-    "$sfbench" run fig05 --quick --quiet --no-resume --csv "$serve_dir/direct.csv" >/dev/null
-    "$sfbench" submit fig05 --quick --quiet --socket "$serve_dir/sock" \
-        --csv "$serve_dir/served.csv"
-    cmp "$serve_dir/direct.csv" "$serve_dir/served.csv"
-    "$sfbench" submit --shutdown --quiet --socket "$serve_dir/sock"
-    wait "$serve_pid"
-    [[ ! -e "$serve_dir/sock" ]]
-    rm -rf "$serve_dir"
-    echo "==> daemon-served artifact byte-identical to the direct run"
-
     # The repository benchmark (sfperf, see BENCHMARK.json) is a package of
     # its own. Its tests, then one zero-length run of every workload, check
     # its correctness gate: each run's simulated results must match

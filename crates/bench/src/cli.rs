@@ -27,6 +27,7 @@
 //! to a kill-safe snapshot in place (mega-sweep hygiene).
 
 use sf_harness::fabric::{self, Partition};
+use sf_obs::json::json_string;
 use stringfigure::study::{execute, print_result_table, RunContext, Study, StudyRegistry};
 
 /// Boolean flags `sfbench run` accepts.
@@ -406,24 +407,6 @@ fn metrics_document() -> String {
     out
 }
 
-/// Minimal JSON string escaping for the static study metadata `list --json`
-/// emits (quotes, backslashes, control characters).
-fn json_str(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// The `list --json` document: one object per study with the machine-facing
 /// facts dispatch tooling needs to size partitions — point counts at quick
 /// and full scale — plus names, aliases, and whether the study streams rows
@@ -436,13 +419,13 @@ fn registry_json(registry: &StudyRegistry) -> String {
         if i > 0 {
             out.push(',');
         }
-        let aliases: Vec<String> = study.aliases().iter().map(|a| json_str(a)).collect();
+        let aliases: Vec<String> = study.aliases().iter().map(|a| json_string(a)).collect();
         out.push_str(&format!(
             "\n  {{\"name\": {}, \"aliases\": [{}], \"artefact\": {}, \"description\": {}, \"streams_rows\": {}, \"quick_points\": {}, \"full_points\": {}}}",
-            json_str(study.name()),
+            json_string(study.name()),
             aliases.join(", "),
-            json_str(study.artefact()),
-            json_str(study.description()),
+            json_string(study.artefact()),
+            json_string(study.description()),
             study.streams_rows(),
             study.grid(&quick).jobs(),
             study.grid(&full).jobs(),
@@ -470,8 +453,6 @@ fn print_usage() {
          \x20 run <study> [options]    run a study\n\
          \x20 merge [options]          stitch --partition shards into the serial artifact\n\
          \x20 dispatch [options] run … spawn N partition workers, monitor, re-issue, merge\n\
-         \x20 serve [options]          long-running daemon accepting jobs on a Unix socket\n\
-         \x20 submit <study> [options] send a job to a running daemon, stream its events\n\
          \x20 report [options]         analyze run artifacts into a markdown report\n\
          \n\
          run options:\n\
@@ -504,21 +485,6 @@ fn print_usage() {
          \x20 --max-retries K          re-issues per partition before giving up (default 2)\n\
          \x20 --keep-shards            keep per-partition artifacts after the merge\n\
          \x20 --quiet                  suppress the aggregate progress line\n\
-         \n\
-         serve options:\n\
-         \x20 --socket PATH            Unix-domain socket to listen on (required)\n\
-         \x20 --cores N                cores the job ledger arbitrates (default: machine)\n\
-         \x20 --quiet                  suppress daemon lifecycle notes\n\
-         \n\
-         submit options:\n\
-         \x20 --socket PATH            daemon socket to connect to (required)\n\
-         \x20 --quick                  submit at reduced smoke scale\n\
-         \x20 --csv / --json PATH      artifact paths, written by the daemon\n\
-         \x20 --cores N                cap the job's core reservation\n\
-         \x20 --shards N               intra-simulation router shards (0 = auto)\n\
-         \x20 --batch                  batch priority (interactive submissions jump ahead)\n\
-         \x20 --ping / --shutdown      probe or stop the daemon instead of submitting\n\
-         \x20 --quiet                  print nothing but errors\n\
          \n\
          report options:\n\
          \x20 --telemetry PATH         congestion heatmap from a telemetry stream\n\
@@ -585,8 +551,6 @@ pub fn main(args: Vec<String>) -> i32 {
         }
         Some("merge") => crate::dispatch::merge_main(&CliArgs::new(args.collect())),
         Some("dispatch") => crate::dispatch::dispatch_main(args.collect()),
-        Some("serve") => crate::serve::serve_main(&CliArgs::new(args.collect())),
-        Some("submit") => crate::serve::submit_main(args.collect()),
         Some("report") => crate::report::run(&CliArgs::new(args.collect())),
         None | Some("help" | "--help" | "-h") => {
             print_usage();
@@ -737,7 +701,10 @@ mod tests {
     fn unknown_names_fail_with_usage_exit_codes() {
         assert_eq!(main(vec!["run".into(), "fig99".into()]), 2);
         assert_eq!(main(vec!["bogus".into()]), 2);
-        assert_eq!(main(vec!["bench".into()]), 2);
+        // Retired commands are unknown names, not silent no-ops.
+        for retired in ["bench", "serve", "submit"] {
+            assert_eq!(main(vec![retired.into()]), 2, "{retired}");
+        }
         assert_eq!(main(vec!["list".into()]), 0);
         assert_eq!(
             main(vec!["grid".into(), "fig10".into(), "--quick".into()]),
@@ -784,7 +751,6 @@ mod tests {
             "dispatch --workers 2 --heartbeat-timeout x run megasweep".to_string(),
             "dispatch --workers 2 --max-retries x run megasweep".to_string(),
             format!("dispatch --workers 2 run megasweep --csv {dir}.csv --shards x"),
-            format!("submit fig05 --socket {dir}.sock --shards x"),
         ] {
             let argv: Vec<String> = bad.split_whitespace().map(str::to_string).collect();
             assert_eq!(main(argv), 2, "{bad}");

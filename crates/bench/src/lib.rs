@@ -7,9 +7,9 @@
 //! fig10 --quick --csv out.csv`); see [`cli`]. Historical figure names
 //! (`fig10_saturation`, `bisection_bandwidth`, …) are registry aliases, so
 //! `sfbench run fig10_saturation` is the same study as `sfbench run fig10`.
-//! The crate also holds the distributed [`dispatch`]/merge fabric, the
-//! [`serve`] daemon and the offline [`report`] analyzer. Host-speed
-//! benchmarking lives outside the workspace, in `sfperf/`.
+//! The crate also holds the distributed [`dispatch`]/merge fabric and the
+//! offline [`report`] analyzer. Host-speed benchmarking lives outside the
+//! workspace, in `sfperf/`.
 //!
 //! Flag parsing lives in [`cli::CliArgs`], the single code path behind
 //! every subcommand.
@@ -21,7 +21,6 @@ pub mod cli;
 pub mod dispatch;
 pub mod proto;
 pub mod report;
-pub mod serve;
 
 /// Prints how the two parallelism layers will execute this run: sweep-level
 /// workers (`sf-harness`) and intra-simulation router shards (`sf-simcore`),

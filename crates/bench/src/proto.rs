@@ -1,8 +1,8 @@
-//! Minimal hand-rolled JSON for the flat one-line documents this crate
-//! exchanges: `sf-heartbeat/v1` heartbeat files (written by
-//! `sf_obs::progress`, read by the dispatch coordinator) and the
-//! `sf-serve/v1` request/event lines of the resident daemon. Zero
-//! dependencies, consistent with the rest of the offline stack.
+//! Minimal hand-rolled reader for the flat one-line JSON documents this
+//! crate consumes: the `sf-heartbeat/v1` heartbeat files (written by
+//! `sf_obs::progress`, read by the dispatch coordinator) and the JSONL span
+//! trace `sfbench report --trace` analyses. Zero dependencies, consistent
+//! with the rest of the offline stack.
 //!
 //! The reader is **escape-aware**: it tokenises the top-level object
 //! properly (string escapes, nested objects/arrays) instead of substring
@@ -12,90 +12,9 @@
 //! extract fields with a tokeniser of at least this strength, never with
 //! `find("\"done\":")`.
 //!
-//! The writer side ([`escape`], [`Object`]) produces the same escaping the
-//! readers undo, so a round trip through any label is lossless.
-
-use std::fmt::Write as _;
-
-/// Escapes `text` as the body of a JSON string literal: `"` and `\` get a
-/// backslash, newlines become `\n`, and other control characters use the
-/// `\u00XX` form. The exact dual of the unescaping in [`field_str`].
-#[must_use]
-pub fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Incremental builder for one-line JSON objects — the writer half of the
-/// protocol, matching what [`fields`] parses.
-#[derive(Debug, Default)]
-pub struct Object {
-    body: String,
-}
-
-impl Object {
-    /// Starts an empty object.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn key(&mut self, key: &str) {
-        if !self.body.is_empty() {
-            self.body.push(',');
-        }
-        let _ = write!(self.body, "\"{}\":", escape(key));
-    }
-
-    /// Adds a string field (escaped).
-    #[must_use]
-    pub fn str(mut self, key: &str, value: &str) -> Self {
-        self.key(key);
-        let _ = write!(self.body, "\"{}\"", escape(value));
-        self
-    }
-
-    /// Adds an unsigned integer field.
-    #[must_use]
-    pub fn u64(mut self, key: &str, value: u64) -> Self {
-        self.key(key);
-        let _ = write!(self.body, "{value}");
-        self
-    }
-
-    /// Adds a boolean field.
-    #[must_use]
-    pub fn bool(mut self, key: &str, value: bool) -> Self {
-        self.key(key);
-        let _ = write!(self.body, "{value}");
-        self
-    }
-
-    /// Adds a pre-rendered JSON value verbatim (nested array/object).
-    #[must_use]
-    pub fn raw(mut self, key: &str, value: &str) -> Self {
-        self.key(key);
-        self.body.push_str(value);
-        self
-    }
-
-    /// Renders the object as a single line (no trailing newline).
-    #[must_use]
-    pub fn finish(self) -> String {
-        format!("{{{}}}", self.body)
-    }
-}
+//! It undoes exactly the escaping of `sf_obs::json::json_string`, the one
+//! escaper every writer uses, so a round trip through any label is
+//! lossless.
 
 /// One top-level field value as tokenised by [`fields`].
 #[derive(Debug, Clone, PartialEq)]
@@ -113,41 +32,41 @@ pub enum FieldValue {
 }
 
 /// Tokenises the top-level fields of a one-line JSON object, escape-aware.
-/// Returns `None` when `text` is not a well-formed flat object (leading
-/// garbage, unterminated strings, missing colons). Nested objects/arrays are
-/// kept as raw spans; their inner fields are *not* surfaced — which is
-/// exactly the property that makes this safe against adversarial field
-/// values.
+/// Returns `None` when `text` is not a well-formed flat object: leading or
+/// trailing garbage, unterminated strings, missing colons or commas, or
+/// mismatched brackets in a nested value. Nested objects/arrays are kept as
+/// raw spans; their inner fields are *not* surfaced — which is exactly the
+/// property that makes this safe against adversarial field values.
 #[must_use]
 pub fn fields(text: &str) -> Option<Vec<(String, FieldValue)>> {
     let mut chars = text.char_indices().peekable();
     skip_ws(&mut chars);
-    if chars.next().map(|(_, c)| c) != Some('{') {
+    if chars.next()?.1 != '{' {
         return None;
     }
     let mut out = Vec::new();
-    loop {
-        skip_ws(&mut chars);
-        match chars.peek().copied() {
-            Some((_, '}')) => {
-                chars.next();
-                return Some(out);
+    skip_ws(&mut chars);
+    if chars.peek().is_some_and(|&(_, c)| c == '}') {
+        chars.next();
+    } else {
+        loop {
+            let key = parse_string(&mut chars)?;
+            skip_ws(&mut chars);
+            if chars.next()?.1 != ':' {
+                return None;
             }
-            Some((_, ',')) if !out.is_empty() => {
-                chars.next();
-                skip_ws(&mut chars);
+            skip_ws(&mut chars);
+            out.push((key, parse_value(text, &mut chars)?));
+            skip_ws(&mut chars);
+            match chars.next()?.1 {
+                ',' => skip_ws(&mut chars),
+                '}' => break,
+                _ => return None,
             }
-            _ => {}
         }
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next().map(|(_, c)| c) != Some(':') {
-            return None;
-        }
-        skip_ws(&mut chars);
-        let value = parse_value(text, &mut chars)?;
-        out.push((key, value));
     }
+    skip_ws(&mut chars);
+    chars.next().is_none().then_some(out)
 }
 
 type Chars<'a> = std::iter::Peekable<std::str::CharIndices<'a>>;
@@ -159,9 +78,9 @@ fn skip_ws(chars: &mut Chars<'_>) {
 }
 
 /// Parses a string literal starting at the current `"`, undoing the escapes
-/// [`escape`] produces (plus `\t`, `\r`, `\/`, and `\uXXXX` generally).
+/// `json_string` produces (plus `\/` and `\uXXXX` generally).
 fn parse_string(chars: &mut Chars<'_>) -> Option<String> {
-    if chars.next().map(|(_, c)| c) != Some('"') {
+    if chars.next()?.1 != '"' {
         return None;
     }
     let mut out = String::new();
@@ -221,10 +140,11 @@ fn parse_value(text: &str, chars: &mut Chars<'_>) -> Option<FieldValue> {
     }
 }
 
-/// Consumes a nested object/array (strings and nesting respected) and
-/// returns its raw text span.
+/// Consumes a nested object/array (strings and nesting respected, every
+/// closing bracket matched against its opener) and returns its raw text
+/// span.
 fn raw_span(text: &str, chars: &mut Chars<'_>, start: usize) -> Option<String> {
-    let mut depth = 0usize;
+    let mut closers = Vec::new();
     let mut in_string = false;
     let mut escaped = false;
     loop {
@@ -241,10 +161,13 @@ fn raw_span(text: &str, chars: &mut Chars<'_>, start: usize) -> Option<String> {
         }
         match c {
             '"' => in_string = true,
-            '{' | '[' => depth += 1,
+            '{' => closers.push('}'),
+            '[' => closers.push(']'),
             '}' | ']' => {
-                depth -= 1;
-                if depth == 0 {
+                if closers.pop()? != c {
+                    return None;
+                }
+                if closers.is_empty() {
                     return Some(text[start..=at].to_string());
                 }
             }
@@ -273,25 +196,6 @@ pub fn field_str(text: &str, key: &str) -> Option<String> {
     }
 }
 
-/// The `key` field of flat object `text` as a boolean.
-#[must_use]
-pub fn field_bool(text: &str, key: &str) -> Option<bool> {
-    match lookup(text, key)? {
-        FieldValue::Bool(b) => Some(b),
-        _ => None,
-    }
-}
-
-/// The `key` field of flat object `text` as a raw JSON span (nested
-/// array/object kept verbatim).
-#[must_use]
-pub fn field_raw(text: &str, key: &str) -> Option<String> {
-    match lookup(text, key)? {
-        FieldValue::Raw(raw) => Some(raw),
-        _ => None,
-    }
-}
-
 fn lookup(text: &str, key: &str) -> Option<FieldValue> {
     fields(text)?
         .into_iter()
@@ -301,26 +205,41 @@ fn lookup(text: &str, key: &str) -> Option<FieldValue> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sf_obs::json::json_string;
 
     #[test]
     fn builder_and_reader_round_trip_plain_fields() {
-        let line = Object::new()
-            .str("schema", "sf-serve/v1")
-            .u64("job", 42)
-            .bool("quick", true)
-            .raw("cells", "[1,2.5,\"x\"]")
-            .finish();
-        assert_eq!(field_str(&line, "schema").as_deref(), Some("sf-serve/v1"));
-        assert_eq!(field_u64(&line, "job"), Some(42));
-        assert_eq!(field_bool(&line, "quick"), Some(true));
-        assert_eq!(field_raw(&line, "cells").as_deref(), Some("[1,2.5,\"x\"]"));
-        assert_eq!(field_u64(&line, "absent"), None);
+        let line = format!(
+            r#"{{"schema":{},"job":42,"quick":true,"none":null,"cells":[1,2.5,"x"]}}"#,
+            json_string("sf-heartbeat/v1")
+        );
+        let line = line.as_str();
+        assert_eq!(
+            field_str(line, "schema").as_deref(),
+            Some("sf-heartbeat/v1")
+        );
+        assert_eq!(field_u64(line, "job"), Some(42));
+        assert_eq!(
+            fields(line).unwrap()[2..],
+            [
+                ("quick".to_string(), FieldValue::Bool(true)),
+                ("none".to_string(), FieldValue::Null),
+                (
+                    "cells".to_string(),
+                    FieldValue::Raw("[1,2.5,\"x\"]".to_string())
+                ),
+            ]
+        );
+        assert_eq!(field_u64(line, "absent"), None);
+        // A field of the wrong type is absent to the typed getters.
+        assert_eq!(field_u64(line, "schema"), None);
+        assert_eq!(field_str(line, "job"), None);
     }
 
     #[test]
     fn escaped_strings_round_trip() {
-        let nasty = "a\"b\\c\nd\tcontrol:\u{1}";
-        let line = Object::new().str("label", nasty).u64("done", 3).finish();
+        let nasty = "a\"b\\c\nd\tcontrol:\u{1}\r/µ";
+        let line = format!("{{\"label\":{},\"done\":3}}", json_string(nasty));
         assert_eq!(field_str(&line, "label").as_deref(), Some(nasty));
         assert_eq!(field_u64(&line, "done"), Some(3));
     }
@@ -329,11 +248,10 @@ mod tests {
     fn adversarial_field_values_cannot_shadow_real_fields() {
         // The label *contains* a JSON-looking "done":99 — a naive substring
         // scan would return 99; the tokeniser must return the real field.
-        let line = Object::new()
-            .str("label", "x\"done\":99,")
-            .u64("done", 3)
-            .u64("total", 8)
-            .finish();
+        let line = format!(
+            "{{\"label\":{},\"done\":3,\"total\":8}}",
+            json_string("x\"done\":99,")
+        );
         assert_eq!(field_u64(&line, "done"), Some(3));
         assert_eq!(field_u64(&line, "total"), Some(8));
     }
@@ -344,18 +262,37 @@ mod tests {
         assert_eq!(field_u64(line, "done"), Some(5));
         assert_eq!(field_u64(line, "total"), None);
         assert_eq!(
-            field_raw(line, "inner").as_deref(),
-            Some(r#"{"done":99,"arr":[1,{"total":7}]}"#)
+            lookup(line, "inner"),
+            Some(FieldValue::Raw(
+                r#"{"done":99,"arr":[1,{"total":7}]}"#.to_string()
+            ))
         );
     }
 
     #[test]
     fn malformed_documents_parse_to_none() {
-        assert_eq!(fields("not json"), None);
-        assert_eq!(fields("{\"unterminated"), None);
-        assert_eq!(fields("{\"k\" 5}"), None);
-        assert_eq!(fields(""), None);
+        for bad in [
+            "not json",
+            "{\"unterminated",
+            "{\"k\" 5}",
+            "",
+            // Fields must be separated by exactly one comma.
+            "{\"a\":1 \"b\":2}",
+            "{\"a\":1,,\"b\":2}",
+            "{\"a\":1,}",
+            "{,\"a\":1}",
+            // Nothing but whitespace may follow the closing brace.
+            "{\"done\":3}garbage",
+            "{\"done\":3}}",
+            // Nested brackets must match.
+            "{\"x\":{]}",
+            "{\"x\":[1}}",
+        ] {
+            assert_eq!(fields(bad), None, "{bad:?}");
+        }
         assert!(fields("{}").is_some_and(|f| f.is_empty()));
+        assert!(fields(" { } ").is_some_and(|f| f.is_empty()));
         assert!(fields("  {\"a\":1}\n").is_some());
+        assert!(fields("{ \"a\" : 1 , \"b\" : [ ] }").is_some_and(|f| f.len() == 2));
     }
 }

@@ -24,26 +24,7 @@ use std::fmt::Write as _;
 use sf_obs::telemetry::TelemetryBlock;
 
 use crate::cli::CliArgs;
-
-/// The value of `"key": "text"` in a single-line JSON object. The workspace
-/// is offline (no serde_json); this mirrors the line-oriented scanners the
-/// artifact writers in `sf-obs` promise to stay compatible with.
-fn json_str<'a>(text: &'a str, key: &str) -> Option<&'a str> {
-    let pattern = format!("\"{key}\":");
-    let after = &text[text.find(&pattern)? + pattern.len()..];
-    let rest = &after[after.find('"')? + 1..];
-    Some(&rest[..rest.find('"')?])
-}
-
-/// The value of `"key": 123` (or `1.5e3`) in a JSON fragment.
-fn json_num(text: &str, key: &str) -> Option<f64> {
-    let pattern = format!("\"{key}\":");
-    let after = text[text.find(&pattern)? + pattern.len()..].trim_start();
-    let end = after
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(after.len());
-    after[..end].parse().ok()
-}
+use crate::proto;
 
 /// Boolean flags `sfbench report` accepts.
 pub const REPORT_BOOL_FLAGS: &[&str] = &["--quiet"];
@@ -79,17 +60,17 @@ struct TraceEvent {
     dur_us: u64,
 }
 
-/// Parses the trace, skipping lines that are not span events (the format is
-/// append-only JSONL; a torn final line from a killed run must not sink the
-/// whole report).
+/// Parses the trace with the escape-aware [`proto`] reader, skipping lines
+/// that are not span events (the format is append-only JSONL; a torn final
+/// line from a killed run must not sink the whole report).
 fn parse_trace(text: &str) -> Vec<TraceEvent> {
     text.lines()
         .filter_map(|line| {
             Some(TraceEvent {
-                name: json_str(line, "name")?.to_string(),
-                thread: json_num(line, "thread")? as u64,
-                start_us: json_num(line, "start_us")? as u64,
-                dur_us: json_num(line, "dur_us")? as u64,
+                name: proto::field_str(line, "name")?,
+                thread: proto::field_u64(line, "thread")?,
+                start_us: proto::field_u64(line, "start_us")?,
+                dur_us: proto::field_u64(line, "dur_us")?,
             })
         })
         .collect()
@@ -627,9 +608,18 @@ mod tests {
         let text = "{\"name\":\"a\",\"thread\":0,\"start_us\":10,\"dur_us\":5}\n\
                     not json at all\n\
                     {\"name\":\"b\",\"thread\":1,\"start_us\":0,\"dur_us\":7}\n\
+                    {\"name\":\"a\\\"b\",\"thread\":1,\"start_us\":0,\"dur_us\":5}\n\
                     {\"name\":\"torn\",\"thread\":2";
         let events = parse_trace(text);
-        assert_eq!(events, vec![event("a", 0, 10, 5), event("b", 1, 0, 7)]);
+        // An escaped quote stays inside the name instead of ending it.
+        assert_eq!(
+            events,
+            vec![
+                event("a", 0, 10, 5),
+                event("b", 1, 0, 7),
+                event("a\"b", 1, 0, 5)
+            ]
+        );
     }
 
     #[test]

@@ -172,9 +172,9 @@ fn shared_topology_cache() -> Arc<TopologyCache> {
 }
 
 /// An observer invoked with every row a [`RowStream`] writes, in delivery
-/// (enumeration) order — the seam the `sfbench serve` daemon uses to stream
-/// result rows to a submitting client while the artifact files are being
-/// written. Taps are passive: they cannot alter, reorder, or fail the rows,
+/// (enumeration) order — the seam a caller uses to watch result rows arrive
+/// while the artifact files are being written (`sfperf` times its first row
+/// through it). Taps are passive: they cannot alter, reorder, or fail the rows,
 /// so artifacts are byte-identical with or without one.
 #[derive(Clone)]
 pub struct RowTap(RowObserver);

@@ -15,7 +15,8 @@
 //! only ever holds complete artifacts — a run killed mid-stream leaves the
 //! previous artifact (or nothing) in place, never a torn one.
 
-use crate::table::{csv_cell, csv_escape, json_string, json_value, Value};
+use crate::table::{csv_cell, csv_escape, json_value, Value};
+use sf_obs::json::json_string;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};

@@ -15,6 +15,8 @@
 
 use std::fmt::Write as _;
 
+use sf_obs::json::json_string;
+
 /// One table cell.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -489,26 +491,6 @@ fn looks_like_float(cell: &str) -> bool {
 }
 
 // -- JSON helpers ----------------------------------------------------------
-
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 pub(crate) fn json_value(value: &Value) -> String {
     match value {

@@ -22,6 +22,8 @@
 //!   lines the pipeline always printed) plus an opt-in live heartbeat with
 //!   jobs done/total, rows/s, ETA, and current RSS — behind `--quiet` /
 //!   `SF_PROGRESS` control.
+//! - [`json`]: the one JSON string escaper every JSON writer in the
+//!   workspace uses.
 //! - [`rss`]: an in-process `/proc/self/status` peak-RSS probe.
 //! - [`telemetry`]: the in-simulator `sf-telemetry/v1` time-series stream —
 //!   per-router queue occupancy, per-link utilisation, credit stalls, and
@@ -32,6 +34,7 @@
 #![warn(missing_docs)]
 
 pub mod hist;
+pub mod json;
 pub mod metrics;
 pub mod progress;
 pub mod rss;

@@ -462,7 +462,7 @@ pub fn enabled() -> bool {
 /// RAII marker placing the current thread inside sweep job
 /// `(seq, index)`; created by [`job_scope`].
 #[derive(Debug)]
-pub struct JobScope {
+pub struct JobGuard {
     prev: Option<(u64, u64, u64)>,
 }
 
@@ -470,12 +470,12 @@ pub struct JobScope {
 /// to sweep `seq` job `index` — their blocks park in the collector's
 /// ordered buffer instead of being written immediately.
 #[must_use]
-pub fn job_scope(seq: u64, index: u64) -> JobScope {
+pub fn job_scope(seq: u64, index: u64) -> JobGuard {
     let prev = JOB_SCOPE.with(|cell| cell.replace(Some((seq, index, 0))));
-    JobScope { prev }
+    JobGuard { prev }
 }
 
-impl Drop for JobScope {
+impl Drop for JobGuard {
     fn drop(&mut self) {
         JOB_SCOPE.with(|cell| cell.set(self.prev.take()));
     }
